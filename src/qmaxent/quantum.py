@@ -4,16 +4,18 @@ The posterior for expectation constraints Tr(rho A_i) = t_i over a
 full-rank prior phi is rho = exp(sum_i alpha_i A_i + ln phi) / Z with
 Z = Tr exp(...). The multipliers solve the convex dual
 G(alpha) = ln Z(alpha) - alpha.t whose gradient components are
-Tr(rho(alpha) A_i) - t_i. The gradient is exact (spectral); the Hessian
-is taken by central finite differences of the gradient, with a BFGS
-inverse approximation substituted when the difference matrix is
-ill-conditioned.
+Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
+covariance of the observables. Both are exact and come from the same
+eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
+rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
+line-search trial and none besides. An ill-conditioned Hessian is
+inverted by pseudoinverse, as in the classical solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +28,6 @@ DEFAULT_MAX_ITER = 200
 DIVERGENCE_NORM = 1e3
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
-HESSIAN_STEP_SCALE = 1e-5
 CONDITION_LIMIT = 1e12
 
 
@@ -130,6 +131,14 @@ def quantum_relative_entropy(
     return umegaki + rho.trace
 
 
+def _exponent(ln_phi: np.ndarray, obs_arrays: Sequence[np.ndarray], alphas) -> np.ndarray:
+    """C = ln phi + sum_i alpha_i A_i as a fresh array."""
+    c = ln_phi.copy()
+    for a, obs in zip(alphas, obs_arrays):
+        c += float(a) * obs
+    return c
+
+
 def _exponent_matrix(
     phi: DensityMatrix,
     observables: Sequence[HermitianOperator],
@@ -140,23 +149,70 @@ def _exponent_matrix(
         raise ShapeError(
             f"{len(observables)} observables but {len(alphas)} multipliers"
         )
-    c = matrix_log(phi.op, domain_guard=FULL_RANK_EIG).matrix.copy()
-    for a, obs in zip(alphas, observables):
+    for obs in observables:
         if obs.dim != phi.dim:
             raise ShapeError(f"observable dim {obs.dim} does not match prior dim {phi.dim}")
-        c = c + float(a) * obs.matrix
-    return c
+    ln_phi = matrix_log(phi.op, domain_guard=FULL_RANK_EIG).matrix
+    return _exponent(ln_phi, [obs.matrix for obs in observables], alphas)
 
 
-def _gibbs_state(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalized exp(C) / Tr exp(C) and ln Tr exp(C) for Hermitian C."""
-    vals, vecs = np.linalg.eigh(c)
+def _gibbs_weights(vals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights exp(vals) / Z and ln Z for ascending eigenvalues, without overflow."""
     shift = vals[-1]
     w = np.exp(vals - shift)
     total = float(w.sum())
-    ln_z = float(shift + np.log(total))
-    rho = (vecs * (w / total)) @ vecs.conj().T
-    return (rho + rho.conj().T) / 2.0, ln_z
+    return w / total, float(shift + np.log(total))
+
+
+class _GibbsState(NamedTuple):
+    """Eigendecomposition of Hermitian C, ln Tr exp(C) and exp(C) / Tr exp(C)."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    ln_z: float
+    rho: np.ndarray
+
+
+def _gibbs_state(c: np.ndarray) -> _GibbsState:
+    """The Gibbs state of C from one eigendecomposition."""
+    vals, vecs = np.linalg.eigh(c)
+    p, ln_z = _gibbs_weights(vals)
+    rho = (vecs * p) @ vecs.conj().T
+    return _GibbsState(vals, vecs, ln_z, (rho + rho.conj().T) / 2.0)
+
+
+def _bkm_covariance(
+    vals: np.ndarray, vecs: np.ndarray, obs_arrays: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Hessian of ln Tr exp(C) in the multipliers, from the eigendecomposition of C.
+
+    This is the Bogoliubov-Kubo-Mori covariance of the observables in the
+    Gibbs state of C. With B_i = V^dag A_i V in the eigenbasis and Gibbs
+    weights p, H_ij = Re sum_kl K_kl (B_i)_kl conj((B_j)_kl) - <A_i><A_j>,
+    where K_kl = (p_k - p_l) / (lambda_k - lambda_l) is the divided
+    difference of the Gibbs weights (Daleckii-Krein). It is evaluated as
+    max(p_k, p_l) (1 - exp(-|lambda_k - lambda_l|)) / |lambda_k - lambda_l|,
+    which cannot overflow and tends to p_k as the gap closes, so equal
+    and nearly equal eigenvalues need no cutoff.
+    """
+    p, _ = _gibbs_weights(vals)
+    gap = np.abs(vals[:, None] - vals[None, :])
+    closed = gap == 0.0
+    ratio = -np.expm1(-gap) / np.where(closed, 1.0, gap)
+    ratio[closed] = 1.0
+    kernel = np.maximum(p[:, None], p[None, :]) * ratio
+    vh = vecs.conj().T
+    # one d x d array per observable; a stacked (m, d, d) tensor costs
+    # noticeably more peak memory at m = 16, d = 64
+    rotated = [vh @ obs @ vecs for obs in obs_arrays]
+    means = np.array([float(p @ np.diagonal(b).real) for b in rotated])
+    m = len(rotated)
+    hess = np.empty((m, m))
+    for j in range(m):
+        weighted = kernel * rotated[j]
+        for i in range(j + 1):
+            hess[i, j] = hess[j, i] = np.vdot(rotated[i], weighted).real
+    return hess - np.outer(means, means)
 
 
 def posterior_from_multipliers(
@@ -166,9 +222,8 @@ def posterior_from_multipliers(
 ) -> tuple[DensityMatrix, float]:
     """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z and Z."""
     alphas = np.asarray(alphas, dtype=float)
-    c = _exponent_matrix(phi, observables, alphas)
-    rho, ln_z = _gibbs_state(c)
-    return DensityMatrix(rho, normalized=True), float(np.exp(ln_z))
+    state = _gibbs_state(_exponent_matrix(phi, observables, alphas))
+    return DensityMatrix(state.rho, normalized=True), float(np.exp(state.ln_z))
 
 
 def log_partition(
@@ -178,10 +233,8 @@ def log_partition(
 ) -> float:
     """ln Tr exp(sum_i alpha_i A_i + ln phi), computed without overflow."""
     alphas = np.asarray(alphas, dtype=float)
-    c = _exponent_matrix(phi, observables, alphas)
-    vals = np.linalg.eigvalsh(c)
-    shift = vals[-1]
-    return float(shift + np.log(np.sum(np.exp(vals - shift))))
+    vals = np.linalg.eigvalsh(_exponent_matrix(phi, observables, alphas))
+    return _gibbs_weights(vals)[1]
 
 
 def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
@@ -199,6 +252,30 @@ def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
             )
 
 
+def _certify_infeasible(
+    alpha: np.ndarray, obs_arrays: Sequence[np.ndarray], targets: np.ndarray
+) -> None:
+    """Raise InfeasibleTargetError if the direction of alpha proves the targets unreachable.
+
+    With d = alpha / |alpha|, every state rho has
+    sum_i d_i Tr(rho A_i) <= lambda_max(sum_i d_i A_i); if that bound lies
+    below d.t, no state meets all targets (a Farkas certificate). The test
+    depends only on the direction of alpha, not on its size.
+    """
+    norm = float(np.linalg.norm(alpha))
+    if norm == 0.0:
+        return
+    d = alpha / norm
+    top = float(np.linalg.eigvalsh(sum(float(di) * obs for di, obs in zip(d, obs_arrays)))[-1])
+    bound = float(d @ targets)
+    if top < bound:
+        raise InfeasibleTargetError(
+            f"line search stalled at |alpha| = {norm:.3e}; along d = alpha/|alpha| "
+            f"every state has sum_i d_i <A_i> <= {top!r} < d.t = {bound!r}, a Farkas "
+            f"certificate that no state meets the targets: they are jointly infeasible"
+        )
+
+
 def solve_quantum(
     prior: DensityMatrix,
     constraints: Sequence[QuantumConstraint],
@@ -209,8 +286,12 @@ def solve_quantum(
     """Multipliers and posterior for a quantum constrained update.
 
     The prior must be full rank and normalized. Targets must lie strictly
-    inside each observable's spectral range; divergence of the multiplier
-    norm beyond 1e3 reports the target set as jointly infeasible.
+    inside each observable's spectral range. Two exits report a target
+    set as jointly infeasible with InfeasibleTargetError: the multiplier
+    norm growing beyond 1e3, and a stalled line search whose direction
+    alpha/|alpha| certifies that no state reaches the targets. A stall
+    without such a certificate, or hitting max_iter, returns a report
+    with converged=False.
     """
     _require_full_rank(prior, "prior")
     if not prior.normalized:
@@ -230,29 +311,15 @@ def solve_quantum(
             converged=True,
         )
 
-    observables = [c.observable for c in constraints]
     obs_arrays = [c.observable.matrix for c in constraints]
     targets = np.array([c.target for c in constraints])
     ln_phi = matrix_log(prior.op, domain_guard=FULL_RANK_EIG).matrix
 
-    def state(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        c = ln_phi.copy()
-        for a, obs in zip(alpha, obs_arrays):
-            c = c + float(a) * obs
-        rho, ln_z = _gibbs_state(c)
-        means = np.array([float(np.sum(obs * rho.T).real) for obs in obs_arrays])
-        return rho, ln_z, means
-
-    def fd_hessian(alpha: np.ndarray) -> np.ndarray:
-        h = HESSIAN_STEP_SCALE * (float(np.linalg.norm(alpha)) + 1.0)
-        hess = np.zeros((m, m))
-        for j in range(m):
-            shifted = np.zeros(m)
-            shifted[j] = h
-            _, _, plus = state(alpha + shifted)
-            _, _, minus = state(alpha - shifted)
-            hess[:, j] = (plus - minus) / (2.0 * h)
-        return (hess + hess.T) / 2.0
+    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, np.ndarray]:
+        # the one eigendecomposition per dual evaluation
+        state = _gibbs_state(_exponent(ln_phi, obs_arrays, alpha))
+        means = np.array([float(np.sum(obs * state.rho.T).real) for obs in obs_arrays])
+        return state, means - targets
 
     if initial_multipliers is None:
         alpha = np.zeros(m)
@@ -261,35 +328,18 @@ def solve_quantum(
         if alpha.shape != (m,):
             raise ShapeError(f"initial multipliers must have shape ({m},)")
 
-    inv_approx = np.eye(m)
-    prev_alpha = None
-    prev_grad = None
     steps = 0
-    converged = False
-    _, _, means = state(alpha)
-    grad = means - targets
+    state, grad = evaluate(alpha)
     for _ in range(max_iter):
-        if prev_grad is not None:
-            s = alpha - prev_alpha
-            y = grad - prev_grad
-            sy = float(s @ y)
-            if sy > 1e-12:
-                sk = s[:, None]
-                yk = y[:, None]
-                left = np.eye(m) - (sk @ yk.T) / sy
-                inv_approx = left @ inv_approx @ left.T + (sk @ sk.T) / sy
         if float(np.max(np.abs(grad))) <= tol:
-            converged = True
             break
-        hess = fd_hessian(alpha)
-        use_fallback = not np.all(np.isfinite(hess)) or np.linalg.cond(hess) > CONDITION_LIMIT
-        if use_fallback:
-            step = -inv_approx @ grad
+        hess = _bkm_covariance(state.vals, state.vecs, obs_arrays)
+        # a rank-deficient constraint family leaves the dual flat along a
+        # subspace; the pseudoinverse step stays out of it
+        if np.all(np.isfinite(hess)) and np.linalg.cond(hess) <= CONDITION_LIMIT:
+            step = np.linalg.solve(hess, -grad)
         else:
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = -inv_approx @ grad
+            step = -np.linalg.pinv(hess, rcond=1e-12) @ grad
         if float(grad @ step) >= 0:
             step = -grad
         # backtrack on the residual norm: unlike the dual value, the
@@ -300,35 +350,27 @@ def solve_quantum(
         accepted = False
         while scale >= 1e-12:
             cand = alpha + scale * step
-            _, _, cand_means = state(cand)
-            cand_grad = cand_means - targets
+            cand_state, cand_grad = evaluate(cand)
             if float(np.linalg.norm(cand_grad)) < grad_norm:
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
+            _certify_infeasible(alpha, obs_arrays, targets)
             break
-        prev_alpha = alpha
-        prev_grad = grad
-        alpha = cand
-        grad = cand_grad
+        alpha, state, grad = cand, cand_state, cand_grad
         steps += 1
         if float(np.linalg.norm(alpha)) > DIVERGENCE_NORM:
             raise InfeasibleTargetError(
                 "multiplier norm exceeded 1e3; targets are jointly infeasible"
             )
 
-    posterior, z = posterior_from_multipliers(prior, observables, alpha)
-    residuals = np.array(
-        [expectation(posterior, obs) for obs in observables]
-    ) - targets
-    converged = bool(np.max(np.abs(residuals)) <= tol)
     return SolverReport(
         multipliers=alpha,
-        partition_value=z,
-        log_partition=log_partition(prior, observables, alpha),
-        posterior=posterior,
-        residuals=residuals,
+        partition_value=float(np.exp(state.ln_z)),
+        log_partition=state.ln_z,
+        posterior=DensityMatrix(state.rho, normalized=True),
+        residuals=grad,
         iterations=steps,
-        converged=converged,
+        converged=bool(np.max(np.abs(grad)) <= tol),
     )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .dual import PINV_RCOND, certify_dependency
 from .errors import (
     DomainError,
     InfeasibleTargetError,
@@ -27,6 +27,15 @@ from .report import SolverReport
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 DIVERGENCE_NORM = 1e3
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """ln sum_i exp(x_i), shifted by the largest entry so no term overflows."""
+    shift = float(np.max(x))
+    if not np.isfinite(shift):
+        # all -inf gives -inf, any +inf gives +inf, a NaN stays NaN
+        return shift
+    return shift + float(np.log(np.sum(np.exp(x - shift))))
 
 
 class ClassicalDistribution:
@@ -185,7 +194,9 @@ def solve_classical(
     Targets must be strictly inside the range of their observable values;
     boundary or exterior targets raise InfeasibleTargetError, as does a
     diverging iteration (|alpha| beyond 1e3 signals a jointly infeasible
-    target set). Hitting max_iter returns a report with converged=False.
+    target set) and a stalled line search along a Hessian null direction
+    d whose combination sum_i d_i A_i is a constant the targets
+    contradict. Hitting max_iter returns a report with converged=False.
     """
     constraints = list(constraints)
     a, t = _check_problem(prior, constraints)
@@ -204,36 +215,31 @@ def solve_classical(
             converged=True,
         )
 
-    def state_log_weights(alpha: np.ndarray) -> tuple[np.ndarray, float]:
+    def evaluate(alpha: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        # the one logsumexp per dual evaluation: ln Z, rho and the residuals
         ln_w = ln_phi + a.T @ alpha
-        return ln_w, float(logsumexp(ln_w))
-
-    def residual(alpha: np.ndarray) -> np.ndarray:
-        ln_w, ln_z = state_log_weights(alpha)
-        return a @ np.exp(ln_w - ln_z) - t
+        ln_z = logsumexp(ln_w)
+        rho = np.exp(ln_w - ln_z)
+        return ln_z, rho, a @ rho - t
 
     alpha = np.zeros(m)
     steps = 0
-    converged = False
-    grad = residual(alpha)
+    ln_z, rho, grad = evaluate(alpha)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= tol:
-            converged = True
             break
-        ln_w, ln_z = state_log_weights(alpha)
-        rho = np.exp(ln_w - ln_z)
         mean = a @ rho
         centered = a - mean[:, None]
         hess = (centered * rho) @ centered.T
         # a rank-deficient constraint family leaves the dual flat along a
         # subspace; the pseudoinverse step stays out of it
         if not np.all(np.isfinite(hess)) or np.linalg.cond(hess) > 1e12:
-            step = -np.linalg.pinv(hess, rcond=1e-12) @ grad
+            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
         else:
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                step = -np.linalg.pinv(hess, rcond=1e-12) @ grad
+                step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
         if not np.all(np.isfinite(step)) or float(grad @ step) >= 0:
             step = -grad
         # backtrack on the residual norm: the dual value flattens to
@@ -243,38 +249,33 @@ def solve_classical(
         accepted = False
         while scale >= 1e-12:
             cand = alpha + scale * step
-            cand_grad = residual(cand)
+            cand_ln_z, cand_rho, cand_grad = evaluate(cand)
             if float(np.linalg.norm(cand_grad)) < grad_norm:
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
+            certify_dependency(hess, grad, lambda d: d @ a, np.abs(a).max(axis=1), tol)
             break
-        alpha = cand
-        grad = cand_grad
+        alpha, ln_z, rho, grad = cand, cand_ln_z, cand_rho, cand_grad
         steps += 1
         if float(np.linalg.norm(alpha)) > DIVERGENCE_NORM:
             raise InfeasibleTargetError(
                 "multiplier norm exceeded 1e3; targets are jointly infeasible"
             )
 
-    if not converged:
-        converged = bool(np.max(np.abs(residual(alpha))) <= tol)
-    if not converged and m == 1:
+    if np.max(np.abs(grad)) > tol and m == 1:
         alpha_1, extra = _bisect_single(ln_phi, a[0], t[0], tol, max_iter)
         alpha = np.array([alpha_1])
         steps += extra
+        ln_z, rho, grad = evaluate(alpha)
 
-    ln_w, ln_z = state_log_weights(alpha)
-    rho = np.exp(ln_w - ln_z)
-    residuals = a @ rho - t
-    converged = bool(np.max(np.abs(residuals)) <= tol)
     return SolverReport(
         multipliers=alpha,
         partition_value=float(np.exp(ln_z)),
         log_partition=ln_z,
         posterior=ClassicalDistribution(rho, normalized=True),
-        residuals=residuals,
+        residuals=grad,
         iterations=steps,
-        converged=converged,
+        converged=bool(np.max(np.abs(grad)) <= tol),
     )

@@ -35,13 +35,19 @@ def _as_square_array(matrix) -> np.ndarray:
 class HermitianOperator:
     """A Hermitian matrix, validated and symmetrized at construction.
 
-    The input may drift from exact Hermiticity by at most
-    hermiticity_tol in max norm; the stored matrix is (M + M^dag)/2
-    and is never mutated afterwards.
+    Entries must be finite. The input may drift from exact Hermiticity
+    by at most hermiticity_tol in max norm; the stored matrix is
+    (M + M^dag)/2 and is never mutated afterwards.
     """
 
     def __init__(self, matrix, hermiticity_tol: float = HERMITICITY_TOL):
         arr = _as_square_array(matrix)
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            # NaN also slips through the drift test below: NaN > tol is False
+            entries = ", ".join(f"({i}, {j})" for i, j in bad[:8].tolist())
+            more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+            raise DomainError(f"matrix has non-finite entries at {entries}{more}")
         drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
         if drift > hermiticity_tol:
             raise DomainError(

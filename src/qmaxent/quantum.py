@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dual import PINV_RCOND, certify_dependency
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, matrix_log, trace_product
 from .report import SolverReport
@@ -252,6 +253,11 @@ def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
             )
 
 
+def _combination(obs_arrays: Sequence[np.ndarray], d: np.ndarray) -> np.ndarray:
+    """sum_i d_i A_i."""
+    return sum(float(di) * obs for di, obs in zip(d, obs_arrays))
+
+
 def _certify_infeasible(
     alpha: np.ndarray, obs_arrays: Sequence[np.ndarray], targets: np.ndarray
 ) -> None:
@@ -266,7 +272,7 @@ def _certify_infeasible(
     if norm == 0.0:
         return
     d = alpha / norm
-    top = float(np.linalg.eigvalsh(sum(float(di) * obs for di, obs in zip(d, obs_arrays)))[-1])
+    top = float(np.linalg.eigvalsh(_combination(obs_arrays, d))[-1])
     bound = float(d @ targets)
     if top < bound:
         raise InfeasibleTargetError(
@@ -286,12 +292,14 @@ def solve_quantum(
     """Multipliers and posterior for a quantum constrained update.
 
     The prior must be full rank and normalized. Targets must lie strictly
-    inside each observable's spectral range. Two exits report a target
+    inside each observable's spectral range. Three exits report a target
     set as jointly infeasible with InfeasibleTargetError: the multiplier
-    norm growing beyond 1e3, and a stalled line search whose direction
-    alpha/|alpha| certifies that no state reaches the targets. A stall
-    without such a certificate, or hitting max_iter, returns a report
-    with converged=False.
+    norm growing beyond 1e3, and a stalled line search with a certificate,
+    either a Hessian null direction d along which sum_i d_i A_i is a
+    constant that the targets contradict, or a direction alpha/|alpha|
+    that separates the targets from every state. A stall without a
+    certificate, or hitting max_iter, returns a report with
+    converged=False.
     """
     _require_full_rank(prior, "prior")
     if not prior.normalized:
@@ -339,7 +347,7 @@ def solve_quantum(
         if np.all(np.isfinite(hess)) and np.linalg.cond(hess) <= CONDITION_LIMIT:
             step = np.linalg.solve(hess, -grad)
         else:
-            step = -np.linalg.pinv(hess, rcond=1e-12) @ grad
+            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
         if float(grad @ step) >= 0:
             step = -grad
         # backtrack on the residual norm: unlike the dual value, the
@@ -356,6 +364,11 @@ def solve_quantum(
                 break
             scale *= 0.5
         if not accepted:
+            # the Frobenius norm bounds the spectral norm
+            norms = np.array([np.linalg.norm(obs) for obs in obs_arrays])
+            certify_dependency(
+                hess, grad, lambda d: np.linalg.eigvalsh(_combination(obs_arrays, d)), norms, tol
+            )
             _certify_infeasible(alpha, obs_arrays, targets)
             break
         alpha, state, grad = cand, cand_state, cand_grad

@@ -289,3 +289,37 @@ class TestSolveClassical:
         report = solve_classical(prior, [ClassicalConstraint(a, target)])
         assert report.converged
         assert float(a @ report.posterior.weights) == pytest.approx(target, abs=1e-9)
+
+
+class TestDependencyCertificate:
+    """Targets that contradict an exact linear dependency among the observables."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_duplicated_observable_with_conflicting_targets_is_infeasible(self, scale):
+        # values [-1, 1] with targets 0.3 and 0.5: the parent stalled at
+        # alpha = (0.112, 0.312) and reported converged=False
+        prior = ClassicalDistribution([0.5, 0.5])
+        values = [-scale, scale]
+        cons = [ClassicalConstraint(values, scale * t) for t in (0.3, 0.5)]
+        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+            solve_classical(prior, cons)
+
+    def test_combination_with_constant_shift(self):
+        # A_3 = A_1 + 2 A_2 + 1 forces <A_3> = 1.5 + 2 * 0.5 + 1 = 3.5, not 3.6
+        prior = ClassicalDistribution([0.1, 0.2, 0.3, 0.4])
+        a1 = np.array([0.0, 1.0, 2.0, 3.0])
+        a2 = np.array([1.0, 0.0, 1.0, 0.0])
+        cons = [
+            ClassicalConstraint(a1, 1.5),
+            ClassicalConstraint(a2, 0.5),
+            ClassicalConstraint(a1 + 2 * a2 + 1, 3.6),
+        ]
+        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+            solve_classical(prior, cons)
+
+    def test_consistent_duplicate_still_converges(self):
+        prior = ClassicalDistribution([0.5, 0.5])
+        cons = [ClassicalConstraint([-1.0, 1.0], 0.3) for _ in range(2)]
+        report = solve_classical(prior, cons)
+        assert report.converged
+        assert report.posterior.weights[1] - report.posterior.weights[0] == pytest.approx(0.3)

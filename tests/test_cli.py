@@ -220,3 +220,48 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 6
+
+
+class TestUpdateRegressions:
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_duplicated_observable_with_conflicting_targets_exits_infeasible(
+        self, tmp_path, capsys, mode
+    ):
+        # <X> = 0.3 and <X> = 0.5 used to stall and exit 3 (not converged)
+        if mode == "classical":
+            prior, observable = [0.5, 0.5], [-1.0, 1.0]
+        else:
+            prior = matrix_to_obj(np.eye(2) / 2)
+            observable = matrix_to_obj(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        path = write_problem(
+            tmp_path / "dup.json",
+            {
+                "mode": mode,
+                "prior": prior,
+                "constraints": [
+                    {"observable": observable, "target": 0.3},
+                    {"observable": observable, "target": 0.5},
+                ],
+            },
+        )
+        assert main(["update", path]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact linear dependency" in captured.err
+
+    def test_nan_observable_exits_error(self, tmp_path, capsys):
+        # json accepts NaN; the observable used to pass validation and exit 2
+        observable = matrix_to_obj(np.diag([np.nan, 1.0]))
+        path = write_problem(
+            tmp_path / "nan.json",
+            {
+                "mode": "quantum",
+                "prior": matrix_to_obj(np.eye(2) / 2),
+                "constraints": [{"observable": observable, "target": 0.3}],
+            },
+        )
+        assert "NaN" in (tmp_path / "nan.json").read_text(encoding="utf-8")
+        assert main(["update", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "non-finite entries at (0, 0)" in err

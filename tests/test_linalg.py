@@ -238,3 +238,19 @@ class TestTraceProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             trace_product(np.eye(2), np.eye(3))
+
+
+class TestNonFiniteEntries:
+    """NaN compares false against the Hermiticity tolerance, so it needs its own check."""
+
+    def test_nan_entry_is_rejected_by_position(self):
+        # this matrix used to construct; as an observable it then gave a
+        # garbage spectral range (0.0, -0.0) and an infeasibility verdict
+        with pytest.raises(DomainError, match=r"non-finite entries at \(0, 0\)"):
+            HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_infinite_and_complex_nan_entries_are_rejected(self):
+        with pytest.raises(DomainError, match=r"\(0, 1\), \(1, 0\)"):
+            HermitianOperator(np.array([[0.0, np.inf], [np.inf, 1.0]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            HermitianOperator(np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]))

@@ -162,3 +162,51 @@ class TestStallCertificate:
         ]
         with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_quantum(prior, cons)
+
+
+class TestDependencyCertificate:
+    """Targets that contradict an exact linear dependency among the observables.
+
+    The Newton iteration stalls with |alpha| far below the norm guard, and
+    alpha/|alpha| separates nothing: only the Hessian null direction d,
+    along which sum_i d_i A_i is a constant, shows the contradiction.
+    """
+
+    def test_duplicated_observable_with_conflicting_targets_is_infeasible(self):
+        # <X> = 0.3 and <X> = 0.5: the parent stalled at alpha = (0.212, 0.212)
+        prior = DensityMatrix(np.eye(2) / 2)
+        cons = [QuantumConstraint(HermitianOperator(PAULI_X), t) for t in (0.3, 0.5)]
+        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+            solve_quantum(prior, cons)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_certificate_is_scale_invariant(self, scale):
+        prior = DensityMatrix(np.eye(2) / 2)
+        cons = [
+            QuantumConstraint(HermitianOperator(scale * PAULI_X), scale * t)
+            for t in (0.3, 0.5)
+        ]
+        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+            solve_quantum(prior, cons)
+
+    def test_combination_with_identity_shift(self):
+        # A_3 = A_1 + 2 A_2 + 1 forces <A_3> = <A_1> + 2 <A_2> + 1 = 1.7, not 1.9
+        prior = DensityMatrix(np.eye(2) / 2)
+        observables = (PAULI_X, PAULI_Z, PAULI_X + 2 * PAULI_Z + np.eye(2))
+        cons = [
+            QuantumConstraint(HermitianOperator(o), t)
+            for o, t in zip(observables, (0.3, 0.2, 1.9))
+        ]
+        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+            solve_quantum(prior, cons)
+
+    def test_consistent_dependency_still_converges(self):
+        prior = DensityMatrix(np.eye(2) / 2)
+        observables = (PAULI_X, PAULI_Z, PAULI_X + 2 * PAULI_Z + np.eye(2))
+        cons = [
+            QuantumConstraint(HermitianOperator(o), t)
+            for o, t in zip(observables, (0.3, 0.2, 1.7))
+        ]
+        report = solve_quantum(prior, cons)
+        assert report.converged
+        assert expectation(report.posterior, HermitianOperator(PAULI_X)) == pytest.approx(0.3)

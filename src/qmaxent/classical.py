@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import PINV_RCOND, certify_dependency
+from .dual import newton_dual
 from .errors import (
     DomainError,
     InfeasibleTargetError,
@@ -26,7 +26,6 @@ from .report import SolverReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-DIVERGENCE_NORM = 1e3
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -147,42 +146,6 @@ def _check_problem(
     return a, t
 
 
-def _bisect_single(
-    ln_phi: np.ndarray, a: np.ndarray, target: float, tol: float, max_iter: int
-) -> tuple[float, int]:
-    """Bisection on the monotone map alpha -> E_alpha[A] for one constraint."""
-
-    def mean(alpha: float) -> float:
-        ln_w = ln_phi + alpha * a
-        return float(np.dot(a, np.exp(ln_w - logsumexp(ln_w))))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(300):
-        if mean(lo) < target:
-            break
-        lo *= 2.0
-    for _ in range(300):
-        if mean(hi) > target:
-            break
-        hi *= 2.0
-    if not (mean(lo) < target < mean(hi)):
-        raise InfeasibleTargetError(
-            f"failed to bracket a multiplier for target {target!r}"
-        )
-    alpha = 0.5 * (lo + hi)
-    steps = 0
-    for steps in range(1, max_iter + 1):
-        alpha = 0.5 * (lo + hi)
-        r = mean(alpha) - target
-        if abs(r) <= tol:
-            break
-        if r < 0:
-            lo = alpha
-        else:
-            hi = alpha
-    return alpha, steps
-
-
 def solve_classical(
     prior: ClassicalDistribution,
     constraints: Sequence[ClassicalConstraint],
@@ -192,11 +155,12 @@ def solve_classical(
     """Multipliers and posterior for a classical constrained update.
 
     Targets must be strictly inside the range of their observable values;
-    boundary or exterior targets raise InfeasibleTargetError, as does a
-    diverging iteration (|alpha| beyond 1e3 signals a jointly infeasible
-    target set) and a stalled line search along a Hessian null direction
-    d whose combination sum_i d_i A_i is a constant the targets
-    contradict. Hitting max_iter returns a report with converged=False.
+    boundary or exterior targets raise InfeasibleTargetError. So does a
+    jointly infeasible target set once the Newton iteration stops short
+    of convergence and a certificate proves it (qmaxent.dual): an exact
+    linear dependency of the observables that the targets contradict, or
+    the direction alpha/|alpha| separating the targets from every state.
+    Without a certificate the report says converged=False.
     """
     constraints = list(constraints)
     a, t = _check_problem(prior, constraints)
@@ -215,67 +179,18 @@ def solve_classical(
             converged=True,
         )
 
-    def evaluate(alpha: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        # the one logsumexp per dual evaluation: ln Z, rho and the residuals
+    def evaluate(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        # the one logsumexp per dual evaluation: rho, ln Z and the residuals
         ln_w = ln_phi + a.T @ alpha
         ln_z = logsumexp(ln_w)
         rho = np.exp(ln_w - ln_z)
-        return ln_z, rho, a @ rho - t
+        return rho, ln_z, a @ rho - t
 
-    alpha = np.zeros(m)
-    steps = 0
-    ln_z, rho, grad = evaluate(alpha)
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= tol:
-            break
-        mean = a @ rho
-        centered = a - mean[:, None]
-        hess = (centered * rho) @ centered.T
-        # a rank-deficient constraint family leaves the dual flat along a
-        # subspace; the pseudoinverse step stays out of it
-        if not np.all(np.isfinite(hess)) or np.linalg.cond(hess) > 1e12:
-            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
-        else:
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
-        if not np.all(np.isfinite(step)) or float(grad @ step) >= 0:
-            step = -grad
-        # backtrack on the residual norm: the dual value flattens to
-        # rounding noise near the optimum, the gradient does not
-        grad_norm = float(np.linalg.norm(grad))
-        scale = 1.0
-        accepted = False
-        while scale >= 1e-12:
-            cand = alpha + scale * step
-            cand_ln_z, cand_rho, cand_grad = evaluate(cand)
-            if float(np.linalg.norm(cand_grad)) < grad_norm:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            certify_dependency(hess, grad, lambda d: d @ a, np.abs(a).max(axis=1), tol)
-            break
-        alpha, ln_z, rho, grad = cand, cand_ln_z, cand_rho, cand_grad
-        steps += 1
-        if float(np.linalg.norm(alpha)) > DIVERGENCE_NORM:
-            raise InfeasibleTargetError(
-                "multiplier norm exceeded 1e3; targets are jointly infeasible"
-            )
+    def covariance(rho: np.ndarray) -> np.ndarray:
+        centered = a - (a @ rho)[:, None]
+        return (centered * rho) @ centered.T
 
-    if np.max(np.abs(grad)) > tol and m == 1:
-        alpha_1, extra = _bisect_single(ln_phi, a[0], t[0], tol, max_iter)
-        alpha = np.array([alpha_1])
-        steps += extra
-        ln_z, rho, grad = evaluate(alpha)
-
-    return SolverReport(
-        multipliers=alpha,
-        partition_value=float(np.exp(ln_z)),
-        log_partition=ln_z,
-        posterior=ClassicalDistribution(rho, normalized=True),
-        residuals=grad,
-        iterations=steps,
-        converged=bool(np.max(np.abs(grad)) <= tol),
+    return newton_dual(
+        np.zeros(m), t, evaluate, covariance, lambda d: d @ a,
+        lambda rho: ClassicalDistribution(rho, normalized=True), tol, max_iter,
     )

@@ -1,55 +1,163 @@
-"""Pieces of the Newton iteration on the convex dual shared by the solvers.
+"""The Newton iteration on the convex dual, shared by the solvers.
 
 Both the classical and the quantum solver minimize G(alpha) = ln Z(alpha)
 - alpha.t, whose gradient is the residual vector <A> - t and whose
-Hessian is a covariance of the observables.
+Hessian is a covariance of the observables. They differ only in how ln Z,
+the means and the covariance are computed, which they hand to
+newton_dual.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import InfeasibleTargetError
+from .report import SolverReport
 
+CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
 DEPENDENCY_RTOL = 1e-12
+ARMIJO = 1e-4
+# backtracking halves the step from 1 down to 2^-39, about 1.8e-12
+STEP_SCALES = 0.5 ** np.arange(40)
+ROUNDING = 64 * np.finfo(float).eps
 
 
-def certify_dependency(
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Newton step, else the pseudoinverse step, else steepest descent."""
+    if np.all(np.isfinite(hess)):
+        # a rank-deficient constraint family leaves the dual flat along a
+        # subspace; the pseudoinverse step stays out of it
+        if np.linalg.cond(hess) <= CONDITION_LIMIT:
+            step = np.linalg.solve(hess, -grad)
+        else:
+            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
+        if np.all(np.isfinite(step)) and float(grad @ step) < 0:
+            return step
+    return -grad
+
+
+def newton_dual(
+    alpha: np.ndarray,
+    targets: np.ndarray,
+    evaluate: Callable[[np.ndarray], tuple[Any, float, np.ndarray]],
+    hessian: Callable[[Any], np.ndarray],
+    spectrum: Callable[[np.ndarray], np.ndarray],
+    posterior: Callable[[Any], Any],
+    tol: float,
+    max_iter: int,
+) -> SolverReport:
+    """Minimize G(alpha) = ln Z(alpha) - alpha.t by damped Newton steps from alpha.
+
+    evaluate(alpha) does the one expensive computation per trial point
+    and returns a state, ln Z and the gradient <A> - t there; hessian(state)
+    is the covariance of the observables in that state; spectrum(d) gives
+    the eigenvalues of sum_i d_i A_i (for a classical problem, its values
+    on the states); posterior(state) is the reported posterior. The
+    iteration stops when max |gradient| <= tol. If it stops otherwise, on
+    a stalled line search or after max_iter steps, _certify may
+    raise InfeasibleTargetError.
+    """
+    state, ln_z, grad = evaluate(alpha)
+    steps = 0
+    stop = None
+    while float(np.max(np.abs(grad))) > tol:
+        hess = hessian(state)
+        if steps == max_iter:
+            stop = f"no convergence in {max_iter} iterations"
+            break
+        step = _newton_step(hess, grad)
+        # Armijo decrease of G, except where the predicted decrease is
+        # within the rounding error of G itself, near the optimum: there a
+        # smaller residual norm is accepted, since the gradient stays
+        # accurate down to machine scale and G does not
+        g0 = ln_z - float(alpha @ targets)
+        noise = ROUNDING * (abs(ln_z) + float(np.linalg.norm(alpha) * np.linalg.norm(targets)))
+        slope = float(grad @ step)
+        grad_norm = float(np.linalg.norm(grad))
+        for scale in STEP_SCALES:
+            cand = alpha + scale * step
+            cand_state, cand_ln_z, cand_grad = evaluate(cand)
+            if -scale * slope > noise:
+                if cand_ln_z - float(cand @ targets) <= g0 + ARMIJO * scale * slope:
+                    break
+            elif float(np.linalg.norm(cand_grad)) < grad_norm:
+                break
+        else:
+            stop = "line search stalled"
+            break
+        alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
+        steps += 1
+    if stop:
+        _certify(hess, grad, alpha, spectrum, targets, tol, stop)
+    return SolverReport(
+        multipliers=alpha,
+        partition_value=float(np.exp(ln_z)),
+        log_partition=ln_z,
+        posterior=posterior(state),
+        residuals=grad,
+        iterations=steps,
+        converged=bool(np.max(np.abs(grad)) <= tol),
+    )
+
+
+def _certify(
     hess: np.ndarray,
     grad: np.ndarray,
+    alpha: np.ndarray,
     spectrum: Callable[[np.ndarray], np.ndarray],
-    norms: np.ndarray,
+    targets: np.ndarray,
     tol: float,
+    stop: str,
 ) -> None:
-    """Raise InfeasibleTargetError if the targets contradict an exact linear dependency.
+    """Raise InfeasibleTargetError if a certificate proves the targets jointly unreachable.
 
-    Candidates are the Hessian's null directions d: unit eigenvectors whose
-    eigenvalue is at most PINV_RCOND times the largest, the cutoff of the
-    pseudoinverse step. spectrum(d) gives the spectrum of sum_i d_i A_i
-    (for a classical problem, its values on the states), and norms[i]
-    bounds the spectrum of A_i. When that spectrum spans at most
-    DEPENDENCY_RTOL of sum_i |d_i| norms[i], sum_i d_i A_i is a constant c
-    to rounding: the sum may cancel to noise, so its own size is no
+    Both certificates are sound, so neither fires on a feasible problem,
+    and both are relative, so the decision does not depend on the units
+    of the observables. stop says why the iteration ended.
+
+    Dependency: candidates are the Hessian's null directions d, unit
+    eigenvectors whose eigenvalue is at most PINV_RCOND times the largest,
+    the cutoff of the pseudoinverse step. When the spectrum of
+    sum_i d_i A_i spans at most DEPENDENCY_RTOL of sum_i |d_i| norm(A_i),
+    with norm the largest absolute eigenvalue, sum_i d_i A_i is a constant
+    c to rounding: the sum may cancel to noise, so its own size is no
     yardstick. Then every state has sum_i d_i <A_i> = c, and the residual
     component d.grad = c - d.t is the same at every alpha. If it exceeds
-    tol, no state meets the targets. Both tests are relative, so the
-    decision does not depend on the units of the observables.
+    tol, no state meets the targets.
+
+    Separation (Farkas): with d = alpha / |alpha|, every state has
+    sum_i d_i <A_i> <= max spectrum(d); if that bound lies below d.t, no
+    state meets the targets. Only the direction of alpha matters.
     """
-    if not np.all(np.isfinite(hess)):
+    if np.all(np.isfinite(hess)):
+        vals, vecs = np.linalg.eigh(hess)
+        norms = None
+        for d in vecs[:, vals <= PINV_RCOND * vals[-1]].T:
+            if norms is None:
+                norms = np.array([np.abs(spectrum(e)).max() for e in np.eye(len(d))])
+            spec = spectrum(d)
+            if float(spec.max() - spec.min()) > DEPENDENCY_RTOL * float(np.abs(d) @ norms):
+                continue
+            miss = float(d @ grad)
+            if abs(miss) > tol:
+                raise InfeasibleTargetError(
+                    f"along d = {np.array2string(d, precision=6)} the observables combine "
+                    f"to a constant, so sum_i d_i <A_i> is the same for every state, but "
+                    f"the targets miss it by {miss!r}: they contradict an exact linear "
+                    f"dependency and are jointly infeasible"
+                )
+    norm = float(np.linalg.norm(alpha))
+    if norm == 0.0:
         return
-    vals, vecs = np.linalg.eigh(hess)
-    for d in vecs[:, vals <= PINV_RCOND * vals[-1]].T:
-        spec = spectrum(d)
-        if float(spec.max() - spec.min()) > DEPENDENCY_RTOL * float(np.abs(d) @ norms):
-            continue
-        miss = float(d @ grad)
-        if abs(miss) > tol:
-            raise InfeasibleTargetError(
-                f"along d = {np.array2string(d, precision=6)} the observables combine "
-                f"to a constant, so sum_i d_i <A_i> is the same for every state, but "
-                f"the targets miss it by {miss!r}: they contradict an exact linear "
-                f"dependency and are jointly infeasible"
-            )
+    d = alpha / norm
+    top = float(spectrum(d).max())
+    bound = float(d @ targets)
+    if top < bound:
+        raise InfeasibleTargetError(
+            f"{stop} at |alpha| = {norm:.3e}; along d = alpha/|alpha| every state has "
+            f"sum_i d_i <A_i> <= {top!r} < d.t = {bound!r}, a Farkas certificate that "
+            f"no state meets the targets: they are jointly infeasible"
+        )

@@ -8,8 +8,8 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. An ill-conditioned Hessian is
-inverted by pseudoinverse, as in the classical solver.
+line-search trial and none besides. The Newton iteration itself is
+qmaxent.dual.newton_dual, shared with the classical solver.
 """
 
 from __future__ import annotations
@@ -19,17 +19,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import PINV_RCOND, certify_dependency
+from .dual import newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, matrix_log, trace_product
 from .report import SolverReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-DIVERGENCE_NORM = 1e3
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
-CONDITION_LIMIT = 1e12
 
 
 class DensityMatrix:
@@ -253,35 +251,6 @@ def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
             )
 
 
-def _combination(obs_arrays: Sequence[np.ndarray], d: np.ndarray) -> np.ndarray:
-    """sum_i d_i A_i."""
-    return sum(float(di) * obs for di, obs in zip(d, obs_arrays))
-
-
-def _certify_infeasible(
-    alpha: np.ndarray, obs_arrays: Sequence[np.ndarray], targets: np.ndarray
-) -> None:
-    """Raise InfeasibleTargetError if the direction of alpha proves the targets unreachable.
-
-    With d = alpha / |alpha|, every state rho has
-    sum_i d_i Tr(rho A_i) <= lambda_max(sum_i d_i A_i); if that bound lies
-    below d.t, no state meets all targets (a Farkas certificate). The test
-    depends only on the direction of alpha, not on its size.
-    """
-    norm = float(np.linalg.norm(alpha))
-    if norm == 0.0:
-        return
-    d = alpha / norm
-    top = float(np.linalg.eigvalsh(_combination(obs_arrays, d))[-1])
-    bound = float(d @ targets)
-    if top < bound:
-        raise InfeasibleTargetError(
-            f"line search stalled at |alpha| = {norm:.3e}; along d = alpha/|alpha| "
-            f"every state has sum_i d_i <A_i> <= {top!r} < d.t = {bound!r}, a Farkas "
-            f"certificate that no state meets the targets: they are jointly infeasible"
-        )
-
-
 def solve_quantum(
     prior: DensityMatrix,
     constraints: Sequence[QuantumConstraint],
@@ -292,13 +261,12 @@ def solve_quantum(
     """Multipliers and posterior for a quantum constrained update.
 
     The prior must be full rank and normalized. Targets must lie strictly
-    inside each observable's spectral range. Three exits report a target
-    set as jointly infeasible with InfeasibleTargetError: the multiplier
-    norm growing beyond 1e3, and a stalled line search with a certificate,
-    either a Hessian null direction d along which sum_i d_i A_i is a
-    constant that the targets contradict, or a direction alpha/|alpha|
-    that separates the targets from every state. A stall without a
-    certificate, or hitting max_iter, returns a report with
+    inside each observable's spectral range. A jointly infeasible target
+    set raises InfeasibleTargetError once the Newton iteration stops
+    short of convergence and a certificate proves it (qmaxent.dual): an
+    exact linear dependency of the observables that the targets
+    contradict, or the direction alpha/|alpha| separating the targets
+    from every state. Without a certificate the report says
     converged=False.
     """
     _require_full_rank(prior, "prior")
@@ -323,11 +291,11 @@ def solve_quantum(
     targets = np.array([c.target for c in constraints])
     ln_phi = matrix_log(prior.op, domain_guard=FULL_RANK_EIG).matrix
 
-    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, np.ndarray]:
+    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
         # the one eigendecomposition per dual evaluation
         state = _gibbs_state(_exponent(ln_phi, obs_arrays, alpha))
         means = np.array([float(np.sum(obs * state.rho.T).real) for obs in obs_arrays])
-        return state, means - targets
+        return state, state.ln_z, means - targets
 
     if initial_multipliers is None:
         alpha = np.zeros(m)
@@ -336,54 +304,10 @@ def solve_quantum(
         if alpha.shape != (m,):
             raise ShapeError(f"initial multipliers must have shape ({m},)")
 
-    steps = 0
-    state, grad = evaluate(alpha)
-    for _ in range(max_iter):
-        if float(np.max(np.abs(grad))) <= tol:
-            break
-        hess = _bkm_covariance(state.vals, state.vecs, obs_arrays)
-        # a rank-deficient constraint family leaves the dual flat along a
-        # subspace; the pseudoinverse step stays out of it
-        if np.all(np.isfinite(hess)) and np.linalg.cond(hess) <= CONDITION_LIMIT:
-            step = np.linalg.solve(hess, -grad)
-        else:
-            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
-        if float(grad @ step) >= 0:
-            step = -grad
-        # backtrack on the residual norm: unlike the dual value, the
-        # gradient stays accurate near the optimum, so this comparison
-        # is meaningful all the way down to machine scale
-        grad_norm = float(np.linalg.norm(grad))
-        scale = 1.0
-        accepted = False
-        while scale >= 1e-12:
-            cand = alpha + scale * step
-            cand_state, cand_grad = evaluate(cand)
-            if float(np.linalg.norm(cand_grad)) < grad_norm:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            # the Frobenius norm bounds the spectral norm
-            norms = np.array([np.linalg.norm(obs) for obs in obs_arrays])
-            certify_dependency(
-                hess, grad, lambda d: np.linalg.eigvalsh(_combination(obs_arrays, d)), norms, tol
-            )
-            _certify_infeasible(alpha, obs_arrays, targets)
-            break
-        alpha, state, grad = cand, cand_state, cand_grad
-        steps += 1
-        if float(np.linalg.norm(alpha)) > DIVERGENCE_NORM:
-            raise InfeasibleTargetError(
-                "multiplier norm exceeded 1e3; targets are jointly infeasible"
-            )
-
-    return SolverReport(
-        multipliers=alpha,
-        partition_value=float(np.exp(state.ln_z)),
-        log_partition=state.ln_z,
-        posterior=DensityMatrix(state.rho, normalized=True),
-        residuals=grad,
-        iterations=steps,
-        converged=bool(np.max(np.abs(grad)) <= tol),
+    return newton_dual(
+        alpha, targets, evaluate,
+        lambda state: _bkm_covariance(state.vals, state.vecs, obs_arrays),
+        lambda d: np.linalg.eigvalsh(_exponent(np.zeros_like(ln_phi), obs_arrays, d)),
+        lambda state: DensityMatrix(state.rho, normalized=True),
+        tol, max_iter,
     )

@@ -82,8 +82,8 @@ def _solver_options(obj) -> dict:
         raise ProblemFormatError("solver: expected an object")
     if "tol" in obj:
         tol = _real_scalar(obj["tol"], "solver.tol")
-        if tol <= 0:
-            raise ProblemFormatError(f"solver.tol: must be positive, got {tol!r}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ProblemFormatError(f"solver.tol: must be finite and positive, got {tol!r}")
         options["tol"] = tol
     if "max_iter" in obj:
         it = obj["max_iter"]

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaxent import classical
 from qmaxent.classical import (
     ClassicalConstraint,
     ClassicalDistribution,
-    _bisect_single,
     relative_entropy,
     solve_classical,
 )
@@ -263,12 +263,6 @@ class TestSolveClassical:
         )
         assert not report.converged
 
-    def test_bisection_fallback_solves_single_constraint(self):
-        w = np.full(3, 1 / 3)
-        alpha, steps = _bisect_single(np.log(w), np.array([1.0, 2.0, 3.0]), 2.5, 1e-10, 200)
-        assert alpha == pytest.approx(ALPHA_UNIFORM_123, abs=1e-9)
-        assert steps > 0
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.floats(0.1, 5.0), min_size=2, max_size=5),
@@ -323,3 +317,106 @@ class TestDependencyCertificate:
         report = solve_classical(prior, cons)
         assert report.converged
         assert report.posterior.weights[1] - report.posterior.weights[0] == pytest.approx(0.3)
+
+
+class TestNewtonDriverRegressions:
+    """Bugs of the per-solver Newton loops mended by the shared driver in qmaxent.dual."""
+
+    def test_residual_norm_backtracking_stall_converges(self):
+        # a feasible, well-conditioned n = 5, m = 2 problem (planted near
+        # beta = (-1.44959, -0.15259)) on which backtracking on the
+        # residual norm stalled at alpha = (-143, 184) with residual 0.15;
+        # Armijo decrease of the dual value goes straight to the optimum
+        prior = ClassicalDistribution([1.24321, 0.95866, 1.03605, 1.98821, 0.30314])
+        cons = [
+            ClassicalConstraint([1.24594, -0.75542, -0.15025, 0.63541, -1.82765], -1.03476),
+            ClassicalConstraint([-0.77713, -0.22865, -0.36152, -0.54756, -1.05657], -0.68312),
+        ]
+        report = solve_classical(prior, cons)
+        assert report.converged
+        np.testing.assert_allclose(report.multipliers, [-1.44959, -0.15259], atol=1e-4)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 1.0])
+    def test_small_observable_feasible_target_is_not_called_infeasible(self, s):
+        # the multiplier ln(999)/s is large only because the observable is
+        # small; a fixed |alpha| > 1e3 guard called s = 1e-3 infeasible
+        prior = ClassicalDistribution([0.5, 0.5])
+        report = solve_classical(prior, [ClassicalConstraint([0.0, s], 0.999 * s)])
+        assert report.converged
+        assert report.multipliers[0] * s == pytest.approx(np.log(999.0), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "weights, constraints",
+        [
+            # a fair die with <X> = 3.5 and <X^2> = 11: variance 11 - 3.5^2 < 0
+            (
+                np.ones(6),
+                [(np.arange(1.0, 7.0), 3.5), (np.arange(1.0, 7.0) ** 2, 11.0)],
+            ),
+            # P(1) = P(2) = 0.55 sum to more than one
+            ([1.0, 2.0, 3.0], [([1.0, 0.0, 0.0], 0.55), ([0.0, 1.0, 0.0], 0.55)]),
+        ],
+        ids=["die_negative_variance", "probabilities_above_one"],
+    )
+    def test_jointly_infeasible_targets_are_not_reported_unconverged(self, weights, constraints):
+        # each target lies inside its own range, so only a certificate at
+        # the end of the iteration shows infeasibility; these used to
+        # return converged=False
+        prior = ClassicalDistribution(weights)
+        cons = [ClassicalConstraint(v, t) for v, t in constraints]
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
+            solve_classical(prior, cons)
+
+    def test_scaling_observables_and_targets_scales_multipliers_exactly(self):
+        # a power of two s scales every intermediate exactly, so a solve
+        # with observables, targets and tol times s takes the same path:
+        # multipliers times 1/s and the same outcome, whether it converges,
+        # stops short or is certified infeasible (targets drawn inside each
+        # range are often jointly infeasible)
+        rng = np.random.default_rng(26)
+
+        def outcome(w, a, t, scale):
+            cons = [ClassicalConstraint(scale * v, scale * x) for v, x in zip(a, t)]
+            try:
+                report = solve_classical(ClassicalDistribution(w), cons, tol=1e-10 * scale)
+            except InfeasibleTargetError as exc:
+                return "Farkas" if "Farkas" in str(exc) else "dependency", None
+            return report.converged, report.multipliers * scale
+
+        for _ in range(40):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            w = np.exp(rng.normal(size=n))
+            a = rng.normal(size=(m, n))
+            t = [rng.uniform(v.min(), v.max()) for v in a]
+            s = 2.0 ** int(rng.integers(-10, 11))
+            base, scaled = outcome(w, a, t, 1.0), outcome(w, a, t, s)
+            assert base[0] == scaled[0]
+            if base[1] is not None:
+                np.testing.assert_array_equal(scaled[1], base[1])
+
+
+def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):
+    # one for the starting point and one per line-search trial; this
+    # planted problem takes four full Newton steps, so no halvings add to it
+    rng = np.random.default_rng(5)
+    n, m = 200, 4
+    w = np.exp(0.5 * rng.normal(size=n))
+    a = rng.normal(size=(m, n))
+    beta = rng.normal(scale=0.4, size=m)
+    ln_w = np.log(w) + a.T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    cons = [ClassicalConstraint(a[j], float(a[j] @ rho)) for j in range(m)]
+    calls = []
+    original = classical.logsumexp
+
+    def counting_logsumexp(x):
+        calls.append(1)
+        return original(x)
+
+    monkeypatch.setattr(classical, "logsumexp", counting_logsumexp)
+    report = solve_classical(ClassicalDistribution(w), cons)
+    assert report.converged
+    np.testing.assert_allclose(report.multipliers, beta, atol=1e-9)
+    assert report.iterations == 4
+    assert len(calls) == 1 + report.iterations

@@ -249,6 +249,25 @@ class TestUpdateRegressions:
         assert captured.out == ""
         assert "exact linear dependency" in captured.err
 
+    def test_die_with_negative_variance_exits_infeasible(self, tmp_path, capsys):
+        # <X> = 3.5 and <X^2> = 11 on a fair die used to exit 3 (not converged)
+        faces = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        path = write_problem(
+            tmp_path / "die.json",
+            {
+                "mode": "classical",
+                "prior": [1.0] * 6,
+                "constraints": [
+                    {"observable": faces, "target": 3.5},
+                    {"observable": [x * x for x in faces], "target": 11.0},
+                ],
+            },
+        )
+        assert main(["update", path]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Farkas certificate" in captured.err
+
     def test_nan_observable_exits_error(self, tmp_path, capsys):
         # json accepts NaN; the observable used to pass validation and exit 2
         observable = matrix_to_obj(np.diag([np.nan, 1.0]))

@@ -210,3 +210,13 @@ class TestDependencyCertificate:
         report = solve_quantum(prior, cons)
         assert report.converged
         assert expectation(report.posterior, HermitianOperator(PAULI_X)) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-2, 1.0])
+def test_small_observable_feasible_target_is_not_called_infeasible(s):
+    # the multiplier ln(999)/s is large only because the observable is
+    # small; a fixed |alpha| > 1e3 guard called s = 1e-3 infeasible
+    prior = DensityMatrix(np.eye(2) / 2)
+    report = solve_quantum(prior, [QuantumConstraint(HermitianOperator(np.diag([0.0, s])), 0.999 * s)])
+    assert report.converged
+    assert report.multipliers[0] * s == pytest.approx(np.log(999.0), rel=1e-6)

@@ -171,6 +171,14 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match=r"solver\.max_iter"):
             parse_problem({**base, "solver": {"max_iter": True}})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # max|grad| <= NaN never holds: a NaN tol used to pass and exit 3
+        # with "did not converge in 0 iterations"
+        base = {"mode": "classical", "prior": [0.5, 0.5]}
+        with pytest.raises(ProblemFormatError, match=r"solver\.tol: must be finite"):
+            parse_problem({**base, "solver": {"tol": tol}})
+
     def test_rejects_bad_spin_fields(self):
         with pytest.raises(ProblemFormatError, match="c:"):
             parse_problem({"mode": "spin", "a": 0.5, "b": 0.5, "c": [0, 0, 1], "target": 0.1})

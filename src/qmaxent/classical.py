@@ -187,8 +187,10 @@ def solve_classical(
         return rho, ln_z, a @ rho - t
 
     def covariance(rho: np.ndarray) -> np.ndarray:
-        centered = a - (a @ rho)[:, None]
-        return (centered * rho) @ centered.T
+        # one m x n temporary, and positive semidefinite by construction
+        scaled = a - (a @ rho)[:, None]
+        scaled *= np.sqrt(rho)
+        return scaled @ scaled.T
 
     return newton_dual(
         np.zeros(m), t, evaluate, covariance, lambda d: d @ a,

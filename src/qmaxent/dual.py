@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InfeasibleTargetError
+from .errors import DomainError, InfeasibleTargetError
 from .report import SolverReport
 
 CONDITION_LIMIT = 1e12
@@ -58,8 +58,11 @@ def newton_dual(
     on the states); posterior(state) is the reported posterior. The
     iteration stops when max |gradient| <= tol. If it stops otherwise, on
     a stalled line search or after max_iter steps, _certify may
-    raise InfeasibleTargetError.
+    raise InfeasibleTargetError. tol must be finite and positive: a NaN
+    tol would end the iteration before its first step.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     state, ln_z, grad = evaluate(alpha)
     steps = 0
     stop = None

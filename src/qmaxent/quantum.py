@@ -8,7 +8,12 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. The Newton iteration itself is
+line-search trial and none besides. The observables are stacked once per
+solve as an (m, d^2) array, so C and the m means are one matrix-vector
+product each and the Hessian is one Gram product of the rotated,
+kernel-scaled observables. Feasibility of each target is decided by a
+bracket of Rayleigh quotients, with an eigenvalue solve only where the
+bracket cannot tell. The Newton iteration itself is
 qmaxent.dual.newton_dual, shared with the classical solver.
 """
 
@@ -28,6 +33,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
+BRACKET_SLACK = 4.0
 
 
 class DensityMatrix:
@@ -130,12 +136,16 @@ def quantum_relative_entropy(
     return umegaki + rho.trace
 
 
-def _exponent(ln_phi: np.ndarray, obs_arrays: Sequence[np.ndarray], alphas) -> np.ndarray:
-    """C = ln phi + sum_i alpha_i A_i as a fresh array."""
-    c = ln_phi.copy()
-    for a, obs in zip(alphas, obs_arrays):
-        c += float(a) * obs
-    return c
+def _stack(observables: Sequence[HermitianOperator], dim: int) -> np.ndarray:
+    """The observables as rows of an (m, dim^2) array."""
+    return np.array([obs.matrix for obs in observables], dtype=complex).reshape(
+        len(observables), dim * dim
+    )
+
+
+def _exponent(ln_phi: np.ndarray, flat: np.ndarray, alphas) -> np.ndarray:
+    """C = ln phi + sum_i alpha_i A_i as a fresh array, from the stacked observables."""
+    return ln_phi + (alphas @ flat).reshape(ln_phi.shape)
 
 
 def _exponent_matrix(
@@ -152,7 +162,7 @@ def _exponent_matrix(
         if obs.dim != phi.dim:
             raise ShapeError(f"observable dim {obs.dim} does not match prior dim {phi.dim}")
     ln_phi = matrix_log(phi.op, domain_guard=FULL_RANK_EIG).matrix
-    return _exponent(ln_phi, [obs.matrix for obs in observables], alphas)
+    return _exponent(ln_phi, _stack(observables, phi.dim), alphas)
 
 
 def _gibbs_weights(vals: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,9 +190,7 @@ def _gibbs_state(c: np.ndarray) -> _GibbsState:
     return _GibbsState(vals, vecs, ln_z, (rho + rho.conj().T) / 2.0)
 
 
-def _bkm_covariance(
-    vals: np.ndarray, vecs: np.ndarray, obs_arrays: Sequence[np.ndarray]
-) -> np.ndarray:
+def _bkm_covariance(vals: np.ndarray, vecs: np.ndarray, observables) -> np.ndarray:
     """Hessian of ln Tr exp(C) in the multipliers, from the eigendecomposition of C.
 
     This is the Bogoliubov-Kubo-Mori covariance of the observables in the
@@ -193,6 +201,13 @@ def _bkm_covariance(
     max(p_k, p_l) (1 - exp(-|lambda_k - lambda_l|)) / |lambda_k - lambda_l|,
     which cannot overflow and tends to p_k as the gap closes, so equal
     and nearly equal eigenvalues need no cutoff.
+
+    observables is the (m, d^2) stack of the solver, or anything that
+    numpy reads as m d x d arrays. All B_i are rotated into one (m, d, d)
+    buffer, their diagonals give the means, and since K >= 0 the buffer
+    scaled by sqrt(K) is a factor F with H = Re(F conj(F)^T) - <A><A>^T,
+    one real Gram product of F viewed as (m, 2 d^2) floats: symmetric
+    and positive semidefinite by construction.
     """
     p, _ = _gibbs_weights(vals)
     gap = np.abs(vals[:, None] - vals[None, :])
@@ -200,18 +215,19 @@ def _bkm_covariance(
     ratio = -np.expm1(-gap) / np.where(closed, 1.0, gap)
     ratio[closed] = 1.0
     kernel = np.maximum(p[:, None], p[None, :]) * ratio
+    d = len(vals)
+    stacked = np.asarray(observables)
+    m = len(stacked)
+    rotated = (stacked.reshape(m * d, d) @ vecs).reshape(m, d, d)
     vh = vecs.conj().T
-    # one d x d array per observable; a stacked (m, d, d) tensor costs
-    # noticeably more peak memory at m = 16, d = 64
-    rotated = [vh @ obs @ vecs for obs in obs_arrays]
-    means = np.array([float(p @ np.diagonal(b).real) for b in rotated])
-    m = len(rotated)
-    hess = np.empty((m, m))
-    for j in range(m):
-        weighted = kernel * rotated[j]
-        for i in range(j + 1):
-            hess[i, j] = hess[j, i] = np.vdot(rotated[i], weighted).real
-    return hess - np.outer(means, means)
+    # slice by slice, so the rotation needs no second (m, d, d) array
+    for b in rotated:
+        b[...] = vh @ b
+    flat = rotated.reshape(m, d * d)
+    means = flat[:, :: d + 1].real @ p
+    rotated *= np.sqrt(kernel)
+    factor = flat.view(np.float64)
+    return factor @ factor.T - np.outer(means, means)
 
 
 def posterior_from_multipliers(
@@ -236,12 +252,37 @@ def log_partition(
     return _gibbs_weights(vals)[1]
 
 
+def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
+    """Bounds lo and hi with lambda_min(A) <= lo and hi <= lambda_max(A), from O(d^2) work.
+
+    Every unit vector v has lambda_min <= v^dag A v <= lambda_max. The
+    vector e_j gives A_jj, and for j != k, (e_j + e^{i theta} e_k)/sqrt 2
+    with a suitable phase theta gives (A_jj + A_kk)/2 -+ |A_jk|. The
+    extremes of these quotients are pulled in by BRACKET_SLACK d eps |A|_F,
+    an allowance well above the rounding of this computation and of
+    eigvalsh (whose error is a small multiple of eps |A|_2), so a target
+    strictly inside (lo, hi) is strictly inside the spectral range that
+    eigvalsh reports. For d = 1 the bracket is empty.
+    """
+    diag = a.diagonal().real
+    mid = (diag[:, None] + diag[None, :]) / 2.0
+    radius = np.abs(a)
+    # |A_jj| is no radius: e_j alone gives A_jj
+    np.fill_diagonal(radius, 0.0)
+    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * float(np.linalg.norm(a))
+    return float((mid - radius).min()) + slack, float((mid + radius).max()) - slack
+
+
 def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
     for k, c in enumerate(constraints):
         if c.observable.dim != dim:
             raise ShapeError(
                 f"constraint {k} has dim {c.observable.dim}, prior has dim {dim}"
             )
+        lo, hi = _rayleigh_bracket(c.observable.matrix)
+        if lo < c.target < hi:
+            continue
+        # the bracket cannot decide; the spectrum decides exactly
         spec = np.linalg.eigvalsh(c.observable.matrix)
         lo, hi = float(spec[0]), float(spec[-1])
         if not (lo < c.target < hi):
@@ -287,14 +328,15 @@ def solve_quantum(
             converged=True,
         )
 
-    obs_arrays = [c.observable.matrix for c in constraints]
+    flat = _stack([c.observable for c in constraints], prior.dim)
     targets = np.array([c.target for c in constraints])
     ln_phi = matrix_log(prior.op, domain_guard=FULL_RANK_EIG).matrix
 
     def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
         # the one eigendecomposition per dual evaluation
-        state = _gibbs_state(_exponent(ln_phi, obs_arrays, alpha))
-        means = np.array([float(np.sum(obs * state.rho.T).real) for obs in obs_arrays])
+        state = _gibbs_state(_exponent(ln_phi, flat, alpha))
+        # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
+        means = (flat @ state.rho.T.ravel()).real
         return state, state.ln_z, means - targets
 
     if initial_multipliers is None:
@@ -306,8 +348,8 @@ def solve_quantum(
 
     return newton_dual(
         alpha, targets, evaluate,
-        lambda state: _bkm_covariance(state.vals, state.vecs, obs_arrays),
-        lambda d: np.linalg.eigvalsh(_exponent(np.zeros_like(ln_phi), obs_arrays, d)),
+        lambda state: _bkm_covariance(state.vals, state.vecs, flat),
+        lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
         lambda state: DensityMatrix(state.rho, normalized=True),
         tol, max_iter,
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,37 @@ class TestNewtonDriverRegressions:
             assert base[0] == scaled[0]
             if base[1] is not None:
                 np.testing.assert_array_equal(scaled[1], base[1])
+
+    def test_nan_tol_is_rejected_not_reported_unconverged(self):
+        # max|grad| > nan is False, so the iteration never started and the
+        # report said converged=False after 0 iterations
+        prior = ClassicalDistribution([1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            solve_classical(prior, [ClassicalConstraint([1.0, 2.0, 3.0], 2.5)], tol=float("nan"))
+
+
+def test_peak_memory_stays_within_two_and_a_half_constraint_blocks():
+    # the solve stacks one copy of the m x n constraint block; the
+    # covariance used to add two more m x n temporaries per Newton step
+    # (3.25 blocks at peak), and now adds one
+    rng = np.random.default_rng(7)
+    n, m = 200_000, 8
+    w = np.exp(0.5 * rng.normal(size=n))
+    a = rng.normal(size=(m, n))
+    beta = rng.normal(scale=0.1, size=m)
+    ln_w = np.log(w) + a.T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    prior = ClassicalDistribution(w)
+    cons = [ClassicalConstraint(a[j], float(a[j] @ rho)) for j in range(m)]
+    tracemalloc.start()
+    try:
+        report = solve_classical(prior, cons)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 2.5 * a.nbytes
 
 
 def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmaxent.errors import InfeasibleTargetError
+from qmaxent.errors import DomainError, InfeasibleTargetError
 from qmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, HermitianOperator
 from qmaxent.quantum import (
     DensityMatrix,
     QuantumConstraint,
     _bkm_covariance,
     _exponent_matrix,
+    _rayleigh_bracket,
     expectation,
     posterior_from_multipliers,
     solve_quantum,
@@ -127,11 +130,22 @@ def test_eigh_calls_are_one_per_dual_evaluation(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        spectra.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     report = solve_quantum(prior, cons)
     assert report.converged
     np.testing.assert_allclose(report.multipliers, beta, atol=1e-9)
     assert report.iterations == 4
     assert len(calls) == 2 + report.iterations
+    # only the posterior DensityMatrix: every target is decided by its
+    # Rayleigh bracket, with no eigenvalue solve of an observable
+    assert len(spectra) == 1
 
 
 class TestStallCertificate:
@@ -220,3 +234,89 @@ def test_small_observable_feasible_target_is_not_called_infeasible(s):
     report = solve_quantum(prior, [QuantumConstraint(HermitianOperator(np.diag([0.0, s])), 0.999 * s)])
     assert report.converged
     assert report.multipliers[0] * s == pytest.approx(np.log(999.0), rel=1e-6)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """General, diagonal, degenerate and 1 x 1 Hermitian matrices."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["general", "diagonal", "degenerate"]))
+    entries = st.lists(
+        st.floats(-100.0, 100.0, allow_subnormal=False), min_size=dim * dim, max_size=dim * dim
+    )
+    g = np.array(draw(entries)).reshape(dim, dim) + 1j * np.array(draw(entries)).reshape(dim, dim)
+    if kind == "general":
+        return (g + g.conj().T) / 2.0
+    values = np.array(draw(st.lists(st.sampled_from([-3.0, 0.0, 0.5, 2.0]), min_size=dim, max_size=dim)))
+    if kind == "diagonal":
+        return np.diag(values).astype(complex)
+    # repeated eigenvalues in a rotated basis
+    q, _ = np.linalg.qr(g + (dim + 1) * np.eye(dim))
+    a = (q * values) @ q.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+class TestRayleighBracket:
+    @settings(max_examples=300, deadline=None)
+    @given(hermitian_matrices())
+    def test_bracket_lies_inside_spectral_range(self, a):
+        lo, hi = _rayleigh_bracket(a)
+        spec = np.linalg.eigvalsh(a)
+        assert spec[0] <= lo
+        assert hi <= spec[-1]
+
+    @pytest.mark.parametrize("target", [1.0, -1.0])
+    def test_target_at_diagonal_extreme_is_infeasible(self, target):
+        # a bracket whose radius kept |A_jj| on its diagonal reached
+        # (-2, 2) here and accepted both targets
+        prior = DensityMatrix(np.eye(3) / 3)
+        observable = HermitianOperator(np.diag([-1.0, 0.3, 1.0]))
+        with pytest.raises(InfeasibleTargetError) as excinfo:
+            solve_quantum(prior, [QuantumConstraint(observable, target)])
+        assert str(excinfo.value) == (
+            f"constraint 0: target {target!r} is not strictly inside "
+            f"the spectral range (-1.0, 1.0)"
+        )
+
+
+def test_scaling_observables_and_targets_scales_multipliers_exactly():
+    # a power of two s scales every intermediate exactly, so a solve with
+    # observables, targets and tol times s takes the same path: multipliers
+    # times 1/s and the same outcome, whether it converges, stops short or
+    # is certified infeasible (targets drawn inside each spectral range are
+    # often jointly infeasible)
+    rng = np.random.default_rng(27)
+
+    def outcome(prior, observables, targets, scale):
+        cons = [
+            QuantumConstraint(HermitianOperator(scale * o), scale * t)
+            for o, t in zip(observables, targets)
+        ]
+        try:
+            report = solve_quantum(prior, cons, tol=1e-10 * scale)
+        except InfeasibleTargetError as exc:
+            return "Farkas" if "Farkas" in str(exc) else "dependency", None
+        return report.converged, report.multipliers * scale
+
+    kinds = set()
+    for _ in range(40):
+        dim, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        prior = gibbs_prior(rng, dim)
+        observables = [scaled_hermitian(rng, dim) for _ in range(m)]
+        targets = [rng.uniform(*np.linalg.eigvalsh(o)[[0, -1]]) for o in observables]
+        s = 2.0 ** int(rng.integers(-10, 11))
+        base = outcome(prior, observables, targets, 1.0)
+        scaled = outcome(prior, observables, targets, s)
+        assert base[0] == scaled[0]
+        if base[1] is not None:
+            np.testing.assert_array_equal(scaled[1], base[1])
+        kinds.add(base[0])
+    assert {True, "Farkas"} <= kinds
+
+
+def test_nan_tol_is_rejected_not_reported_unconverged():
+    # max|grad| > nan is False, so the iteration never started and the
+    # report said converged=False after 0 iterations
+    prior = DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        solve_quantum(prior, [QuantumConstraint(HermitianOperator(PAULI_Z), 0.3)], tol=float("nan"))

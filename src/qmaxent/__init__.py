@@ -29,15 +29,12 @@ from .classical import (
 )
 from .errors import (
     DomainError,
-    EigensolverError,
     InfeasibleTargetError,
     ShapeError,
     SupportViolationError,
 )
 from .linalg import (
     HermitianOperator,
-    SpectralDecomposition,
-    eigh,
     kron,
     matrix_exp,
     matrix_function,
@@ -69,14 +66,12 @@ __all__ = [
     "ClassicalDistribution",
     "DensityMatrix",
     "DomainError",
-    "EigensolverError",
     "HermitianOperator",
     "InfeasibleTargetError",
     "PropertyResult",
     "QuantumConstraint",
     "ShapeError",
     "SolverReport",
-    "SpectralDecomposition",
     "SpinProblem",
     "SupportViolationError",
     "check_commuting_reduction",
@@ -85,7 +80,6 @@ __all__ = [
     "check_subdomain_independence",
     "check_subsystem_independence",
     "check_zero_multiplier",
-    "eigh",
     "expectation",
     "kron",
     "log_partition",

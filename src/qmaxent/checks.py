@@ -257,14 +257,15 @@ def run_all_checks(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> li
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = {
-        "prior_recovery": 0.0,
-        "subsystem_independence": 0.0,
-        "commuting_reduction": 0.0,
-        "zero_multiplier": 0.0,
-        "log_tensor_additivity": 0.0,
-        "subdomain_independence": 0.0,
+    thresholds = {
+        "prior_recovery": PRIOR_RECOVERY_TOL,
+        "subsystem_independence": SUBSYSTEM_TOL,
+        "commuting_reduction": COMMUTING_TOL,
+        "zero_multiplier": ZERO_MULTIPLIER_TOL,
+        "log_tensor_additivity": LOG_TENSOR_TOL,
+        "subdomain_independence": SUBDOMAIN_TOL,
     }
+    worst = dict.fromkeys(thresholds, 0.0)
 
     def record(result: PropertyResult) -> None:
         worst[result.name] = max(worst[result.name], result.max_deviation)
@@ -348,16 +349,8 @@ def run_all_checks(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> li
         else:
             record(check_subdomain_independence(prior, mask))
 
-    thresholds = {
-        "prior_recovery": PRIOR_RECOVERY_TOL,
-        "subsystem_independence": SUBSYSTEM_TOL,
-        "commuting_reduction": COMMUTING_TOL,
-        "zero_multiplier": ZERO_MULTIPLIER_TOL,
-        "log_tensor_additivity": LOG_TENSOR_TOL,
-        "subdomain_independence": SUBDOMAIN_TOL,
-    }
     detail = f"seed={seed} trials={trials}"
     return [
-        PropertyResult(name, worst[name], thresholds[name], detail=detail)
-        for name in worst
+        PropertyResult(name, worst[name], threshold, detail=detail)
+        for name, threshold in thresholds.items()
     ]

@@ -168,11 +168,9 @@ def solve_classical(
     ln_phi = np.log(prior.weights)
 
     if m == 0:
-        total = prior.total
         return SolverReport(
             multipliers=np.zeros(0),
-            partition_value=total,
-            log_partition=float(np.log(total)),
+            log_partition=float(np.log(prior.total)),
             posterior=prior.normalize(),
             residuals=np.zeros(0),
             iterations=0,

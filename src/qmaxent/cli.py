@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, run_all_checks
 from .classical import relative_entropy, solve_classical
-from .errors import DomainError, EigensolverError, InfeasibleTargetError, ShapeError
+from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .quantum import DensityMatrix, quantum_relative_entropy, solve_quantum
 from .serialization import (
     ProblemFormatError,
@@ -77,32 +77,23 @@ def run_update(path: str, out_path: str | None = None) -> int:
         return EXIT_ERROR
 
     try:
-        if mode == "classical":
-            prior = payload["prior"]
-            report = solve_classical(prior, payload["constraints"], **payload["options"])
-            entropy = {
-                "full": relative_entropy(report.posterior, prior, "full"),
-                "normalized": relative_entropy(report.posterior, prior, "normalized"),
-            }
-        elif mode == "quantum":
-            prior = payload["prior"]
-            report = solve_quantum(prior, payload["constraints"], **payload["options"])
-            entropy = {
-                "full": quantum_relative_entropy(report.posterior, prior, "full"),
-                "umegaki": quantum_relative_entropy(report.posterior, prior, "umegaki"),
-            }
-        else:
+        if mode == "spin":
             problem = payload["problem"]
             report = solve_spin(problem, **payload["options"])
             prior = DensityMatrix(np.diag([problem.a, problem.b]).astype(complex))
-            entropy = {
-                "full": quantum_relative_entropy(report.posterior, prior, "full"),
-                "umegaki": quantum_relative_entropy(report.posterior, prior, "umegaki"),
-            }
+        else:
+            prior = payload["prior"]
+            solve = solve_classical if mode == "classical" else solve_quantum
+            report = solve(prior, payload["constraints"], **payload["options"])
+        if mode == "classical":
+            entropy_of, variants = relative_entropy, ("full", "normalized")
+        else:
+            entropy_of, variants = quantum_relative_entropy, ("full", "umegaki")
+        entropy = {v: entropy_of(report.posterior, prior, v) for v in variants}
     except InfeasibleTargetError as exc:
         _say(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except (DomainError, ShapeError, EigensolverError) as exc:
+    except (DomainError, ShapeError, np.linalg.LinAlgError) as exc:
         _say(f"error: {exc}")
         return EXIT_ERROR
 
@@ -111,11 +102,9 @@ def run_update(path: str, out_path: str | None = None) -> int:
     except OSError as exc:
         _say(f"error: {exc}")
         return EXIT_ERROR
-    if report.converged:
-        _say(f"{mode}: converged in {report.iterations} iterations, max residual {report.max_residual:.3e}")
-        return EXIT_OK
-    _say(f"{mode}: did not converge in {report.iterations} iterations, max residual {report.max_residual:.3e}")
-    return EXIT_NO_CONVERGENCE
+    verdict = "converged" if report.converged else "did not converge"
+    _say(f"{mode}: {verdict} in {report.iterations} iterations, max residual {report.max_residual:.3e}")
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def run_verify(seed: int, trials: int, out_path: str | None = None) -> int:

@@ -25,6 +25,12 @@ STEP_SCALES = 0.5 ** np.arange(40)
 ROUNDING = 64 * np.finfo(float).eps
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm, taken of x / max|x_i| so that it does not overflow."""
+    big = float(np.max(np.abs(x)))
+    return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
+
+
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The Newton step, else the pseudoinverse step, else steepest descent."""
     if np.all(np.isfinite(hess)):
@@ -77,7 +83,7 @@ def newton_dual(
         # smaller residual norm is accepted, since the gradient stays
         # accurate down to machine scale and G does not
         g0 = ln_z - float(alpha @ targets)
-        noise = ROUNDING * (abs(ln_z) + float(np.linalg.norm(alpha) * np.linalg.norm(targets)))
+        noise = ROUNDING * (abs(ln_z) + _norm(alpha) * _norm(targets))
         slope = float(grad @ step)
         grad_norm = float(np.linalg.norm(grad))
         for scale in STEP_SCALES:
@@ -97,7 +103,6 @@ def newton_dual(
         _certify(hess, grad, alpha, spectrum, targets, tol, stop)
     return SolverReport(
         multipliers=alpha,
-        partition_value=float(np.exp(ln_z)),
         log_partition=ln_z,
         posterior=posterior(state),
         residuals=grad,
@@ -152,7 +157,7 @@ def _certify(
                     f"the targets miss it by {miss!r}: they contradict an exact linear "
                     f"dependency and are jointly infeasible"
                 )
-    norm = float(np.linalg.norm(alpha))
+    norm = _norm(alpha)
     if norm == 0.0:
         return
     d = alpha / norm

@@ -15,18 +15,3 @@ class SupportViolationError(DomainError):
 
 class InfeasibleTargetError(ValueError):
     """A constraint target cannot be met by any admissible posterior."""
-
-
-class EigensolverError(RuntimeError):
-    """The eigenvalue routine failed to converge.
-
-    iterations is None when the backend does not report a count.
-    """
-
-    def __init__(self, dim: int, iterations: int | None = None):
-        self.dim = dim
-        self.iterations = iterations
-        detail = f"eigensolver failed to converge for dim={dim}"
-        if iterations is not None:
-            detail += f" after {iterations} iterations"
-        super().__init__(detail)

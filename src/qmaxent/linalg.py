@@ -8,12 +8,11 @@ after re-symmetrization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EigensolverError, ShapeError
+from .errors import DomainError, ShapeError
 
 HERMITICITY_TOL = 1e-12
 
@@ -36,11 +35,11 @@ class HermitianOperator:
     """A Hermitian matrix, validated and symmetrized at construction.
 
     Entries must be finite. The input may drift from exact Hermiticity
-    by at most hermiticity_tol in max norm; the stored matrix is
+    by at most HERMITICITY_TOL in max norm; the stored matrix is
     (M + M^dag)/2 and is never mutated afterwards.
     """
 
-    def __init__(self, matrix, hermiticity_tol: float = HERMITICITY_TOL):
+    def __init__(self, matrix):
         arr = _as_square_array(matrix)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
@@ -48,11 +47,11 @@ class HermitianOperator:
             entries = ", ".join(f"({i}, {j})" for i, j in bad[:8].tolist())
             more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
             raise DomainError(f"matrix has non-finite entries at {entries}{more}")
-        drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if drift > hermiticity_tol:
+        drift = float(np.max(np.abs(arr - arr.conj().T)))
+        if drift > HERMITICITY_TOL:
             raise DomainError(
                 f"matrix is not Hermitian: max |M - M^dag| = {drift:.3e} "
-                f"exceeds tolerance {hermiticity_tol:.3e}"
+                f"exceeds tolerance {HERMITICITY_TOL:.3e}"
             )
         self._matrix = (arr + arr.conj().T) / 2.0
         self._matrix.setflags(write=False)
@@ -69,55 +68,33 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dag for orthonormal eigenvector columns V, exactly Hermitian.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def eigh(operator: HermitianOperator) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian operator.
-
-    Eigenvalues are real and ascending; eigenvectors are orthonormal
-    columns, so eigenvectors @ diag(eigenvalues) @ eigenvectors^dag
-    reconstructs the matrix.
+    The explicit symmetrization removes the rounding drift of the product.
     """
-    try:
-        vals, vecs = np.linalg.eigh(operator.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(dim=operator.dim) from exc
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    out = (vecs * values) @ vecs.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def matrix_function(
     operator: HermitianOperator,
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     domain_guard: float | None = None,
 ) -> HermitianOperator:
     """Apply a real scalar function to a Hermitian operator spectrally.
 
+    f maps the array of eigenvalues elementwise, as a numpy ufunc does.
     With a domain_guard, every eigenvalue must exceed it; otherwise the
     offending eigenvalue is reported and no value is returned.
     """
-    dec = eigh(operator)
-    if domain_guard is not None:
-        smallest = float(dec.eigenvalues[0])
-        if smallest <= domain_guard:
-            raise DomainError(
-                f"eigenvalue {smallest:.6e} is not above the domain guard "
-                f"{domain_guard:.6e}"
-            )
-    mapped = np.array([f(float(v)) for v in dec.eigenvalues], dtype=float)
-    u = dec.eigenvectors
-    out = (u * mapped) @ u.conj().T
-    # explicit symmetrization removes rounding drift exactly
-    return HermitianOperator((out + out.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    if domain_guard is not None and vals[0] <= domain_guard:
+        raise DomainError(
+            f"eigenvalue {float(vals[0]):.6e} is not above the domain guard "
+            f"{domain_guard:.6e}"
+        )
+    return HermitianOperator(_spectral_matrix(vecs, np.asarray(f(vals), dtype=float)))
 
 
 def matrix_exp(operator: HermitianOperator) -> HermitianOperator:

@@ -8,7 +8,9 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. The observables are stacked once per
+line-search trial and none besides. ln phi comes from the decomposition
+the prior made at construction and the posterior from the last one of C,
+so a solve runs no other. The observables are stacked once per
 solve as an (m, d^2) array, so C and the m means are one matrix-vector
 product each and the Hessian is one Gram product of the rotated,
 kernel-scaled observables. Feasibility of each target is decided by a
@@ -26,22 +28,37 @@ import numpy as np
 
 from .dual import newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
-from .linalg import HermitianOperator, matrix_log, trace_product
+from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
+TRACE_TOL = 1e-10
 BRACKET_SLACK = 4.0
 
 
 class DensityMatrix:
-    """A positive semidefinite Hermitian matrix with positive trace."""
+    """A positive semidefinite Hermitian matrix with positive trace.
 
-    def __init__(self, matrix, trace_tol: float = 1e-10, normalized: bool | None = None):
+    Its one eigendecomposition, at construction, gives the read-only
+    ascending eigenvalues and orthonormal eigenvector columns that the
+    PSD, trace and full-rank checks, ln phi and the relative entropy read.
+    """
+
+    def __init__(self, matrix, normalized: bool | None = None):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
-        eigenvalues = np.linalg.eigvalsh(op.matrix)
+        self._setup(op, *np.linalg.eigh(op.matrix), normalized)
+
+    @classmethod
+    def _from_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityMatrix":
+        """The normalized state matrix = V diag(eigenvalues) V^dag, with no new decomposition."""
+        state = cls.__new__(cls)
+        state._setup(HermitianOperator(matrix), eigenvalues, eigenvectors, True)
+        return state
+
+    def _setup(self, op, eigenvalues, eigenvectors, normalized) -> None:
         if eigenvalues[0] < PSD_EIG_TOL:
             raise DomainError(
                 f"matrix is not positive semidefinite: smallest eigenvalue "
@@ -51,12 +68,14 @@ class DensityMatrix:
         if trace <= 0:
             raise DomainError("trace must be positive")
         if normalized is None:
-            normalized = abs(trace - 1.0) <= trace_tol
-        elif normalized and abs(trace - 1.0) > trace_tol:
+            normalized = abs(trace - 1.0) <= TRACE_TOL
+        elif normalized and abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"declared normalized but trace is {trace!r}")
         self.op = op
         self.eigenvalues = eigenvalues
-        self.eigenvalues.setflags(write=False)
+        self.eigenvectors = eigenvectors
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
         self.trace = trace
         self.normalized = bool(normalized)
 
@@ -74,7 +93,9 @@ class DensityMatrix:
     def normalize(self) -> "DensityMatrix":
         if self.normalized:
             return self
-        return DensityMatrix(self.matrix / self.trace, normalized=True)
+        return DensityMatrix._from_spectrum(
+            self.matrix / self.trace, self.eigenvalues / self.trace, self.eigenvectors
+        )
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, normalized={self.normalized})"
@@ -110,6 +131,11 @@ def _require_full_rank(phi: DensityMatrix, role: str) -> None:
         )
 
 
+def _log(phi: DensityMatrix) -> np.ndarray:
+    """ln phi from the stored decomposition of a full-rank phi."""
+    return _spectral_matrix(phi.eigenvectors, np.log(phi.eigenvalues))
+
+
 def quantum_relative_entropy(
     rho: DensityMatrix, phi: DensityMatrix, variant: str = "full"
 ) -> float:
@@ -128,8 +154,7 @@ def quantum_relative_entropy(
     vals = rho.eigenvalues
     positive = vals[vals > 0]
     tr_rho_ln_rho = float(np.sum(positive * np.log(positive)))
-    ln_phi = matrix_log(phi.op, domain_guard=FULL_RANK_EIG)
-    tr_rho_ln_phi = trace_product(rho.op, ln_phi)
+    tr_rho_ln_phi = trace_product(rho.op, _log(phi))
     umegaki = -(tr_rho_ln_rho - tr_rho_ln_phi)
     if variant == "umegaki":
         return umegaki
@@ -148,12 +173,37 @@ def _exponent(ln_phi: np.ndarray, flat: np.ndarray, alphas) -> np.ndarray:
     return ln_phi + (alphas @ flat).reshape(ln_phi.shape)
 
 
-def _exponent_matrix(
-    phi: DensityMatrix,
-    observables: Sequence[HermitianOperator],
-    alphas: np.ndarray,
-) -> np.ndarray:
+class _GibbsState(NamedTuple):
+    """Eigendecomposition of Hermitian C, and exp(C) / Tr exp(C) = V diag(p) V^dag.
+
+    p are the Gibbs weights, ascending with vals, and ln_z = ln Tr exp(C).
+    """
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    p: np.ndarray
+    ln_z: float
+    rho: np.ndarray
+
+    def posterior(self) -> DensityMatrix:
+        return DensityMatrix._from_spectrum(self.rho, self.p, self.vecs)
+
+
+def _gibbs_state(c: np.ndarray) -> _GibbsState:
+    """The Gibbs state of C from one eigendecomposition, shifted against overflow."""
+    vals, vecs = np.linalg.eigh(c)
+    w = np.exp(vals - vals[-1])
+    total = float(w.sum())
+    p = w / total
+    return _GibbsState(vals, vecs, p, float(vals[-1] + np.log(total)), _spectral_matrix(vecs, p))
+
+
+def _gibbs_at(
+    phi: DensityMatrix, observables: Sequence[HermitianOperator], alphas
+) -> _GibbsState:
+    """The Gibbs state of ln phi + sum_i alpha_i A_i, for the public entry points."""
     _require_full_rank(phi, "prior")
+    alphas = np.asarray(alphas, dtype=float)
     if len(observables) != len(alphas):
         raise ShapeError(
             f"{len(observables)} observables but {len(alphas)} multipliers"
@@ -161,36 +211,10 @@ def _exponent_matrix(
     for obs in observables:
         if obs.dim != phi.dim:
             raise ShapeError(f"observable dim {obs.dim} does not match prior dim {phi.dim}")
-    ln_phi = matrix_log(phi.op, domain_guard=FULL_RANK_EIG).matrix
-    return _exponent(ln_phi, _stack(observables, phi.dim), alphas)
+    return _gibbs_state(_exponent(_log(phi), _stack(observables, phi.dim), alphas))
 
 
-def _gibbs_weights(vals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weights exp(vals) / Z and ln Z for ascending eigenvalues, without overflow."""
-    shift = vals[-1]
-    w = np.exp(vals - shift)
-    total = float(w.sum())
-    return w / total, float(shift + np.log(total))
-
-
-class _GibbsState(NamedTuple):
-    """Eigendecomposition of Hermitian C, ln Tr exp(C) and exp(C) / Tr exp(C)."""
-
-    vals: np.ndarray
-    vecs: np.ndarray
-    ln_z: float
-    rho: np.ndarray
-
-
-def _gibbs_state(c: np.ndarray) -> _GibbsState:
-    """The Gibbs state of C from one eigendecomposition."""
-    vals, vecs = np.linalg.eigh(c)
-    p, ln_z = _gibbs_weights(vals)
-    rho = (vecs * p) @ vecs.conj().T
-    return _GibbsState(vals, vecs, ln_z, (rho + rho.conj().T) / 2.0)
-
-
-def _bkm_covariance(vals: np.ndarray, vecs: np.ndarray, observables) -> np.ndarray:
+def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
     """Hessian of ln Tr exp(C) in the multipliers, from the eigendecomposition of C.
 
     This is the Bogoliubov-Kubo-Mori covariance of the observables in the
@@ -209,7 +233,7 @@ def _bkm_covariance(vals: np.ndarray, vecs: np.ndarray, observables) -> np.ndarr
     one real Gram product of F viewed as (m, 2 d^2) floats: symmetric
     and positive semidefinite by construction.
     """
-    p, _ = _gibbs_weights(vals)
+    vals, vecs, p = state.vals, state.vecs, state.p
     gap = np.abs(vals[:, None] - vals[None, :])
     closed = gap == 0.0
     ratio = -np.expm1(-gap) / np.where(closed, 1.0, gap)
@@ -236,9 +260,8 @@ def posterior_from_multipliers(
     alphas,
 ) -> tuple[DensityMatrix, float]:
     """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z and Z."""
-    alphas = np.asarray(alphas, dtype=float)
-    state = _gibbs_state(_exponent_matrix(phi, observables, alphas))
-    return DensityMatrix(state.rho, normalized=True), float(np.exp(state.ln_z))
+    state = _gibbs_at(phi, observables, alphas)
+    return state.posterior(), float(np.exp(state.ln_z))
 
 
 def log_partition(
@@ -247,9 +270,7 @@ def log_partition(
     alphas,
 ) -> float:
     """ln Tr exp(sum_i alpha_i A_i + ln phi), computed without overflow."""
-    alphas = np.asarray(alphas, dtype=float)
-    vals = np.linalg.eigvalsh(_exponent_matrix(phi, observables, alphas))
-    return _gibbs_weights(vals)[1]
+    return _gibbs_at(phi, observables, alphas).ln_z
 
 
 def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
@@ -297,7 +318,6 @@ def solve_quantum(
     constraints: Sequence[QuantumConstraint],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    initial_multipliers=None,
 ) -> SolverReport:
     """Multipliers and posterior for a quantum constrained update.
 
@@ -320,7 +340,6 @@ def solve_quantum(
     if m == 0:
         return SolverReport(
             multipliers=np.zeros(0),
-            partition_value=prior.trace,
             log_partition=float(np.log(prior.trace)),
             posterior=prior,
             residuals=np.zeros(0),
@@ -330,7 +349,7 @@ def solve_quantum(
 
     flat = _stack([c.observable for c in constraints], prior.dim)
     targets = np.array([c.target for c in constraints])
-    ln_phi = matrix_log(prior.op, domain_guard=FULL_RANK_EIG).matrix
+    ln_phi = _log(prior)
 
     def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
         # the one eigendecomposition per dual evaluation
@@ -339,17 +358,9 @@ def solve_quantum(
         means = (flat @ state.rho.T.ravel()).real
         return state, state.ln_z, means - targets
 
-    if initial_multipliers is None:
-        alpha = np.zeros(m)
-    else:
-        alpha = np.asarray(initial_multipliers, dtype=float).copy()
-        if alpha.shape != (m,):
-            raise ShapeError(f"initial multipliers must have shape ({m},)")
-
     return newton_dual(
-        alpha, targets, evaluate,
-        lambda state: _bkm_covariance(state.vals, state.vecs, flat),
+        np.zeros(m), targets, evaluate,
+        lambda state: _bkm_covariance(state, flat),
         lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
-        lambda state: DensityMatrix(state.rho, normalized=True),
-        tol, max_iter,
+        _GibbsState.posterior, tol, max_iter,
     )

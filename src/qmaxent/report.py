@@ -13,13 +13,12 @@ class SolverReport:
     """Outcome of a constrained update.
 
     posterior is a ClassicalDistribution or a DensityMatrix depending on
-    the solver. partition_value = exp(log_partition); the log form is the
-    stable one and is what gets serialized. converged means the residual
-    max norm met the requested tolerance.
+    the solver. log_partition is ln Z, the stable form, and is what gets
+    serialized; partition_value is derived from it. converged means the
+    residual max norm met the requested tolerance.
     """
 
     multipliers: np.ndarray
-    partition_value: float
     log_partition: float
     posterior: Any
     residuals: np.ndarray
@@ -27,7 +26,11 @@ class SolverReport:
     converged: bool
 
     @property
+    def partition_value(self) -> float:
+        """Z = exp(log_partition), inf where Z exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_partition))
+
+    @property
     def max_residual(self) -> float:
-        if len(self.residuals) == 0:
-            return 0.0
-        return float(np.max(np.abs(self.residuals)))
+        return float(np.max(np.abs(self.residuals), initial=0.0))

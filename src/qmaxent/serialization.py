@@ -68,6 +68,10 @@ def _real_vector(obj, where: str) -> np.ndarray:
     return np.asarray(obj, dtype=float)
 
 
+def _hermitian(obj, where: str) -> HermitianOperator:
+    return HermitianOperator(matrix_from_obj(obj, where))
+
+
 def _real_scalar(obj, where: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ProblemFormatError(f"{where}: expected a real number, got {obj!r}")
@@ -131,25 +135,17 @@ def parse_problem(obj) -> tuple[str, dict]:
 
     if mode == "classical":
         prior = ClassicalDistribution(_real_vector(obj.get("prior"), "prior"))
-        constraints = []
-        for k, entry in enumerate(raw_constraints):
-            if not isinstance(entry, dict):
-                raise ProblemFormatError(f"constraints[{k}]: expected an object")
-            values = _real_vector(entry.get("observable"), f"constraints[{k}].observable")
-            target = _real_scalar(entry.get("target"), f"constraints[{k}].target")
-            constraints.append(ClassicalConstraint(values, target))
-        return mode, {"prior": prior, "constraints": constraints, "options": options}
-
-    prior = DensityMatrix(matrix_from_obj(obj.get("prior"), "prior"))
+        read, constraint = _real_vector, ClassicalConstraint
+    else:
+        prior = DensityMatrix(matrix_from_obj(obj.get("prior"), "prior"))
+        read, constraint = _hermitian, QuantumConstraint
     constraints = []
     for k, entry in enumerate(raw_constraints):
         if not isinstance(entry, dict):
             raise ProblemFormatError(f"constraints[{k}]: expected an object")
-        observable = HermitianOperator(
-            matrix_from_obj(entry.get("observable"), f"constraints[{k}].observable")
-        )
+        observable = read(entry.get("observable"), f"constraints[{k}].observable")
         target = _real_scalar(entry.get("target"), f"constraints[{k}].target")
-        constraints.append(QuantumConstraint(observable, target))
+        constraints.append(constraint(observable, target))
     return mode, {"prior": prior, "constraints": constraints, "options": options}
 
 

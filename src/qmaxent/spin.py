@@ -111,7 +111,6 @@ def _report(p: SpinProblem, alpha: float, steps: int, tol: float) -> SolverRepor
     residual = spin_constraint_value(p, alpha) - p.target
     return SolverReport(
         multipliers=np.array([alpha]),
-        partition_value=spin_partition(p, alpha),
         log_partition=_log_partition(p, alpha),
         posterior=spin_posterior(p, alpha),
         residuals=np.array([residual]),

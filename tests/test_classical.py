@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -395,6 +396,40 @@ class TestNewtonDriverRegressions:
             assert base[0] == scaled[0]
             if base[1] is not None:
                 np.testing.assert_array_equal(scaled[1], base[1])
+
+    def test_alpha_norm_overflow_still_certifies_infeasible(self):
+        # a pinv step threw alpha to ~1e268 in 3 iterations; |alpha|
+        # overflowed to inf, d = alpha/inf was 0, the Farkas test could not
+        # fire and the report said converged=False with multipliers near 1e268
+        prior = ClassicalDistribution([
+            0.9310399896570716, 0.7651573639735735, 0.14241426307441135,
+            0.4464509580953292, 0.7183362696880015, 0.5966611503093201,
+        ])
+        a = [
+            [0.5378417412230189, 0.2431185162217607, -1.9535443826988845,
+             -0.6628699831728421, -0.8895664463631375, -0.045187736742557535],
+            [-0.6097856233278652, 0.48501511321171, -0.495619625071848,
+             -0.24998636302839403, 1.2663987349152548, -0.21453066058979697],
+            [-0.47244087614917546, 0.061977818644863236, -1.2737098067435353,
+             -1.5731248410372924, -0.008812396226744042, -0.5703673296671212],
+        ]
+        t = [0.5272249343785824, -0.511260812935294, -1.2919764009795314]
+        cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
+                solve_classical(prior, cons)
+
+    def test_large_partition_function_solves_without_overflow_warning(self):
+        # ln Z ~ 2199 here; the report used to store exp(ln Z) and numpy
+        # printed "overflow encountered in exp" on a converged solve
+        prior = ClassicalDistribution([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_classical(prior, [ClassicalConstraint([1000.0, 1001.0], 1000.9)])
+            assert report.partition_value == np.inf
+        assert report.converged
+        assert report.multipliers[0] == pytest.approx(np.log(9.0), rel=1e-9)
 
     def test_nan_tol_is_rejected_not_reported_unconverged(self):
         # max|grad| > nan is False, so the iteration never started and the

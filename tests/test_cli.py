@@ -268,6 +268,18 @@ class TestUpdateRegressions:
         assert captured.out == ""
         assert "Farkas certificate" in captured.err
 
+    def test_spin_file_with_overflowing_partition_function_exits_ok(self, tmp_path, capsys):
+        # Z = 2 e^lam cosh|w| overflows at the solution (ln Z ~ 4399); the
+        # report used to compute it and the command died with an OverflowError
+        path = write_problem(
+            tmp_path / "spin.json",
+            {"mode": "spin", "a": 0.5, "b": 0.5, "c": [2000.0, 0.0, 0.0, 1.0], "target": 2000.9},
+        )
+        assert main(["update", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert math.isfinite(report["log_partition"])
+
     def test_nan_observable_exits_error(self, tmp_path, capsys):
         # json accepts NaN; the observable used to pass validation and exit 2
         observable = matrix_to_obj(np.diag([np.nan, 1.0]))
@@ -284,3 +296,55 @@ class TestUpdateRegressions:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "non-finite entries at (0, 0)" in err
+
+
+def test_quantum_update_runs_one_eigensolve_per_density_matrix_and_dual_evaluation(
+    tmp_path, monkeypatch, capsys
+):
+    # a dim-16, m-4 problem planted at beta: the parsed prior's
+    # decomposition, then the starting point and one per line-search trial
+    # (full Newton steps here). ln phi, the posterior and both entropies
+    # add none
+    rng = np.random.default_rng(3)
+
+    def hermitian(dim):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return (g + g.conj().T) / (2.0 * np.sqrt(dim))
+
+    def gibbs(c):
+        vals, vecs = np.linalg.eigh(c)
+        w = np.exp(vals - vals[-1])
+        rho = (vecs * (w / w.sum())) @ vecs.conj().T
+        return (rho + rho.conj().T) / 2.0
+
+    h0 = hermitian(16)
+    observables = [hermitian(16) for _ in range(4)]
+    beta = rng.normal(scale=0.4, size=4)
+    prior = gibbs(h0)
+    # ln prior is h0 up to a multiple of the identity, which Gibbs ignores
+    rho = gibbs(h0 + sum(b * a for b, a in zip(beta, observables)))
+    path = write_problem(
+        tmp_path / "q16.json",
+        {
+            "mode": "quantum",
+            "prior": matrix_to_obj(prior),
+            "constraints": [
+                {"observable": matrix_to_obj(a), "target": float(np.sum(a * rho.T).real)}
+                for a in observables
+            ],
+        },
+    )
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert main(["update", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(report["multipliers"], beta, atol=1e-8)
+    assert report["iterations"] >= 3
+    assert len(calls) == 2 + report["iterations"]

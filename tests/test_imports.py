@@ -1,5 +1,7 @@
-"""qmaxent imports numpy only, and its numpy logsumexp is exact to rounding."""
+"""qmaxent imports numpy only, its numpy logsumexp is exact to rounding, and the
+names the traced benchmark wraps exist."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 
 from qmaxent.classical import logsumexp
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy():
@@ -25,6 +28,19 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_names_resolve(monkeypatch):
+    # perfbench/tracing.py wraps these module attributes by name; one
+    # deleted or renamed in src/ would break the traced benchmark silently
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.TRACED
+    for module, name, _, _ in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+    from qmaxent.quantum import DensityMatrix
+
+    assert "__init__" in vars(DensityMatrix)
 
 
 def fsum_reference(x) -> float:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from qmaxent.errors import DomainError, EigensolverError, ShapeError
+from qmaxent.errors import DomainError, ShapeError
 from qmaxent.linalg import (
     HermitianOperator,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    eigh,
     kron,
     matrix_exp,
     matrix_function,
@@ -68,31 +67,6 @@ class TestHermitianOperator:
         op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
-
-
-class TestEigh:
-    def test_identity(self):
-        dec = eigh(HermitianOperator(np.eye(3)))
-        np.testing.assert_allclose(dec.eigenvalues, [1, 1, 1])
-
-    def test_pauli_x_spectrum(self):
-        dec = eigh(HermitianOperator(PAULI_X))
-        np.testing.assert_allclose(dec.eigenvalues, [-1, 1], atol=1e-15)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            op = random_hermitian(rng, 4)
-            dec = eigh(op)
-            np.testing.assert_allclose(dec.reconstruct(), op.matrix, atol=1e-10)
-            # orthonormal eigenvector columns
-            u = dec.eigenvectors
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-
-    def test_eigenvalues_ascending(self):
-        rng = np.random.default_rng(4)
-        dec = eigh(random_hermitian(rng, 6))
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
 class TestMatrixFunctions:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,47 @@ class TestDensityMatrix:
     def test_full_rank_detection(self):
         assert DensityMatrix(np.eye(2) / 2).is_full_rank()
         assert not DensityMatrix(np.diag([1.0, 0.0])).is_full_rank()
+
+
+class TestStoredDecomposition:
+    """The one eigendecomposition a DensityMatrix makes, and the one it is given."""
+
+    def test_vectors_rebuild_the_matrix(self):
+        rng = np.random.default_rng(36)
+        for dim in (1, 2, 5):
+            rho = random_state(rng, dim)
+            u = rho.eigenvectors
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-14)
+            np.testing.assert_allclose((u * rho.eigenvalues) @ u.conj().T, rho.matrix, atol=1e-14)
+
+    def test_eigenvalues_ascending_and_read_only(self):
+        rho = random_state(np.random.default_rng(37), 4)
+        assert np.all(np.diff(rho.eigenvalues) >= 0)
+        for stored in (rho.eigenvalues, rho.eigenvectors):
+            with pytest.raises(ValueError):
+                stored[0] = 0.5
+
+    def test_posterior_eigenvalues_are_the_gibbs_weights(self):
+        rng = np.random.default_rng(38)
+        prior = random_state(rng, 4)
+        obs = [random_hermitian(rng, 4) for _ in range(2)]
+        ref, _ = posterior_from_multipliers(prior, obs, [0.4, -0.6])
+        report = solve_quantum(prior, [QuantumConstraint(o, expectation(ref, o)) for o in obs])
+        assert report.converged
+        for rho in (ref, report.posterior):
+            assert rho.normalized
+            np.testing.assert_allclose(
+                rho.eigenvalues, np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-14
+            )
+            assert rho.eigenvalues.sum() == pytest.approx(1.0, abs=1e-15)
+            u = rho.eigenvectors
+            np.testing.assert_allclose((u * rho.eigenvalues) @ u.conj().T, rho.matrix, atol=1e-15)
+
+    def test_normalize_reuses_the_decomposition(self):
+        d = DensityMatrix(np.diag([1.0, 3.0]))
+        n = d.normalize()
+        np.testing.assert_allclose(n.eigenvalues, [0.25, 0.75], rtol=1e-15)
+        assert n.eigenvectors is d.eigenvectors
 
 
 class TestExpectation:
@@ -258,17 +301,6 @@ class TestSolveQuantum:
         with pytest.raises(DomainError):
             solve_quantum(DensityMatrix(np.diag([1.0, 0.0])), [])
 
-    def test_uniqueness_across_starts(self):
-        rng = np.random.default_rng(39)
-        prior = random_state(rng, 3)
-        obs = [random_hermitian(rng, 3) for _ in range(2)]
-        ref, _ = posterior_from_multipliers(prior, obs, [0.4, -0.6])
-        cons = [QuantumConstraint(o, expectation(ref, o)) for o in obs]
-        r1 = solve_quantum(prior, cons)
-        r2 = solve_quantum(prior, cons, initial_multipliers=[2.0, 1.5])
-        assert r1.converged and r2.converged
-        np.testing.assert_allclose(r1.multipliers, r2.multipliers, atol=1e-6)
-
     def test_single_constraint_map_is_monotone(self):
         rng = np.random.default_rng(40)
         prior = random_state(rng, 3)
@@ -298,6 +330,18 @@ class TestSolveQuantum:
         np.testing.assert_allclose(
             rq.posterior.matrix, np.diag(rc.posterior.weights), atol=1e-9
         )
+
+    def test_large_partition_function_solves_without_overflow_warning(self):
+        # ln Z ~ 2199 here; the report used to store exp(ln Z) and numpy
+        # printed "overflow encountered in exp" on a converged solve
+        prior = DensityMatrix(np.eye(2) / 2)
+        cons = [QuantumConstraint(HermitianOperator(np.diag([1000.0, 1001.0])), 1000.9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_quantum(prior, cons)
+            assert report.partition_value == np.inf
+        assert report.converged
+        assert report.multipliers[0] == pytest.approx(np.log(9.0), rel=1e-9)
 
     def test_max_iter_exhaustion_reports_not_converged(self):
         prior = DensityMatrix(np.eye(2) / 2)

@@ -191,7 +191,6 @@ class TestReportToObj:
         posterior = ClassicalDistribution(np.array([0.25, 0.75]))
         report = SolverReport(
             multipliers=np.array([0.5]),
-            partition_value=1.25,
             log_partition=float(np.log(1.25)),
             posterior=posterior,
             residuals=np.array([1e-14]),
@@ -209,7 +208,6 @@ class TestReportToObj:
         posterior = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         report = SolverReport(
             multipliers=np.array([-0.85]),
-            partition_value=1.0,
             log_partition=0.0,
             posterior=posterior,
             residuals=np.array([0.0]),
@@ -278,7 +276,6 @@ class TestCanonicalDumps:
             "classical",
             SolverReport(
                 multipliers=np.array([0.1]),
-                partition_value=1.0,
                 log_partition=0.0,
                 posterior=ClassicalDistribution(np.array([0.5, 0.5])),
                 residuals=np.array([0.0]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmaxent.errors import DomainError, InfeasibleTargetError
-from qmaxent.linalg import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z, eigh, matrix_exp
+from qmaxent.linalg import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z, matrix_exp
 from qmaxent.quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -87,8 +87,8 @@ class TestSpinEigenvalues:
             p = random_problem(rng)
             alpha = float(rng.normal())
             plus, minus = spin_eigenvalues(p, alpha)
-            dec = eigh(exponent_operator(p, alpha))
-            np.testing.assert_allclose([minus, plus], dec.eigenvalues, atol=1e-10)
+            spectrum = np.linalg.eigvalsh(exponent_operator(p, alpha).matrix)
+            np.testing.assert_allclose([minus, plus], spectrum, atol=1e-10)
 
 
 class TestSpinPartition:

@@ -25,6 +25,8 @@ from .linalg import HermitianOperator, kron, matrix_exp, matrix_log
 from .quantum import (
     DensityMatrix,
     QuantumConstraint,
+    _log,
+    _require_full_rank,
     expectation,
     posterior_from_multipliers,
     quantum_relative_entropy,
@@ -160,10 +162,10 @@ def check_zero_multiplier(prior, constraint) -> PropertyResult:
 
 
 def _log_gap(rho: DensityMatrix, phi: DensityMatrix) -> np.ndarray:
-    return -(
-        matrix_log(rho.op, domain_guard=1e-12).matrix
-        - matrix_log(phi.op, domain_guard=1e-12).matrix
-    )
+    # both logs come from the decompositions the states already hold
+    _require_full_rank(rho, "rho")
+    _require_full_rank(phi, "phi")
+    return -(_log(rho) - _log(phi))
 
 
 def check_log_tensor_additivity(

@@ -6,6 +6,11 @@ rho_i = phi_i exp(sum_j alpha_j A_j(x_i)) / Z. The multipliers alpha are
 found by Newton iteration on the convex dual G(alpha) = ln Z - alpha.t,
 whose gradient is the residual vector and whose Hessian is the
 constraint covariance under the current iterate.
+
+Besides its inputs, a solve holds the stacked m x n constraint block,
+one cache-sized (m, cols) buffer and a few length-n vectors. The
+Hessian is added up block by block in that buffer, so no Newton step
+makes an m x n temporary.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .report import SolverReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
+# bytes of the (m, cols) buffer the covariance is added up in, sized to
+# stay in a per-core cache
+BLOCK_BYTES = 1 << 19
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -146,6 +154,29 @@ def _check_problem(
     return a, t
 
 
+def _covariance(
+    a: np.ndarray, rho: np.ndarray, means: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """sum_i rho_i (a_i - means)(a_i - means)^T, added up over column blocks.
+
+    Each block of columns is centered and scaled by sqrt(rho) into the
+    (m, cols) buffer, whose Gram product is added to the result; so the
+    covariance stays positive semidefinite by construction, and no
+    m x n temporary is made.
+    """
+    m, n = a.shape
+    cols = block.shape[1]
+    root = np.sqrt(rho)
+    hess = np.zeros((m, m))
+    for s in range(0, n, cols):
+        e = min(s + cols, n)
+        b = block[:, : e - s]
+        np.subtract(a[:, s:e], means[:, None], out=b)
+        b *= root[s:e]
+        hess += b @ b.T
+    return hess
+
+
 def solve_classical(
     prior: ClassicalDistribution,
     constraints: Sequence[ClassicalConstraint],
@@ -177,20 +208,18 @@ def solve_classical(
             converged=True,
         )
 
-    def evaluate(alpha: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        # the one logsumexp per dual evaluation: rho, ln Z and the residuals
+    def evaluate(alpha: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
+        # the one logsumexp per dual evaluation: rho, ln Z and the means,
+        # which the covariance reads back instead of forming a @ rho again
         ln_w = ln_phi + a.T @ alpha
         ln_z = logsumexp(ln_w)
         rho = np.exp(ln_w - ln_z)
-        return rho, ln_z, a @ rho - t
+        means = a @ rho
+        return (rho, means), ln_z, means - t
 
-    def covariance(rho: np.ndarray) -> np.ndarray:
-        # one m x n temporary, and positive semidefinite by construction
-        scaled = a - (a @ rho)[:, None]
-        scaled *= np.sqrt(rho)
-        return scaled @ scaled.T
-
+    block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * m)))))
     return newton_dual(
-        np.zeros(m), t, evaluate, covariance, lambda d: d @ a,
-        lambda rho: ClassicalDistribution(rho, normalized=True), tol, max_iter,
+        np.zeros(m), t, evaluate, lambda state: _covariance(a, *state, block),
+        lambda d: d @ a,
+        lambda state: ClassicalDistribution(state[0], normalized=True), tol, max_iter,
     )

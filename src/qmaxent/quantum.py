@@ -259,9 +259,14 @@ def posterior_from_multipliers(
     observables: Sequence[HermitianOperator],
     alphas,
 ) -> tuple[DensityMatrix, float]:
-    """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z and Z."""
+    """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z and Z.
+
+    Z is inf where it exceeds the float range; log_partition gives ln Z.
+    """
     state = _gibbs_at(phi, observables, alphas)
-    return state.posterior(), float(np.exp(state.ln_z))
+    with np.errstate(over="ignore"):
+        z = float(np.exp(state.ln_z))
+    return state.posterior(), z
 
 
 def log_partition(

@@ -76,9 +76,14 @@ def spin_eigenvalues(p: SpinProblem, alpha: float) -> tuple[float, float]:
 
 
 def spin_partition(p: SpinProblem, alpha: float) -> float:
-    """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh(half_gap)."""
-    lam, half_gap = _bloch_parts(p, alpha)
-    return 2.0 * math.exp(lam) * math.cosh(half_gap)
+    """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh(half_gap).
+
+    Taken as exp(ln Z), so it is inf where Z exceeds the float range.
+    """
+    try:
+        return math.exp(_log_partition(p, alpha))
+    except OverflowError:
+        return math.inf
 
 
 def _log_partition(p: SpinProblem, alpha: float) -> float:

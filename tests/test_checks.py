@@ -200,6 +200,14 @@ class TestLogTensorAdditivity:
         result = check_log_tensor_additivity(rho1, phi1, rho2, phi2)
         assert result.max_deviation <= 1e-12
 
+    def test_rank_deficient_factor_is_rejected(self):
+        # the large second factor keeps the joint states above the guard,
+        # so the factor's own full-rank check is what rejects it
+        singular = DensityMatrix(np.diag([1.0, 1e-13]).astype(complex))
+        large = DensityMatrix(np.diag([1e6, 2e6]).astype(complex))
+        with pytest.raises(DomainError, match="full rank"):
+            check_log_tensor_additivity(singular, singular, large, large)
+
     def test_random_quadruples(self):
         rng = np.random.default_rng(9)
         result = check_log_tensor_additivity(
@@ -298,6 +306,20 @@ class TestRunAllChecks:
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
             run_all_checks(seed=1, trials=0)
+
+    def test_eigh_calls_in_default_run_are_pinned(self, monkeypatch):
+        # the log-gap of each factor state reads the decomposition the
+        # DensityMatrix holds; a fresh eigh of each would add 80 calls
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert all(r.passed for r in run_all_checks())
+        assert len(calls) == 914
 
 
 class TestCommutingReductionRegression:

@@ -439,10 +439,11 @@ class TestNewtonDriverRegressions:
             solve_classical(prior, [ClassicalConstraint([1.0, 2.0, 3.0], 2.5)], tol=float("nan"))
 
 
-def test_peak_memory_stays_within_two_and_a_half_constraint_blocks():
-    # the solve stacks one copy of the m x n constraint block; the
-    # covariance used to add two more m x n temporaries per Newton step
-    # (3.25 blocks at peak), and now adds one
+def test_peak_memory_stays_within_one_and_three_quarter_constraint_blocks():
+    # the solve stacks one copy of the m x n constraint block (1.0) and
+    # holds a few length-n vectors, one eighth of a block each at m = 8;
+    # the covariance is added up in one cache-sized buffer, so no Newton
+    # step makes an m x n temporary (one made the peak 2.38 blocks)
     rng = np.random.default_rng(7)
     n, m = 200_000, 8
     w = np.exp(0.5 * rng.normal(size=n))
@@ -460,7 +461,7 @@ def test_peak_memory_stays_within_two_and_a_half_constraint_blocks():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak <= 2.5 * a.nbytes
+    assert peak <= 1.75 * a.nbytes
 
 
 def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):
@@ -488,3 +489,22 @@ def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):
     np.testing.assert_allclose(report.multipliers, beta, atol=1e-9)
     assert report.iterations == 4
     assert len(calls) == 1 + report.iterations
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_blocked_covariance_matches_the_direct_centered_formula(m):
+    cols = max(1, classical.BLOCK_BYTES // (8 * m))
+    rng = np.random.default_rng(m)
+    for n in (1, cols - 1, cols, cols + 1, 2 * cols + 3):
+        a = rng.normal(size=(m, n))
+        rho = rng.random(n) + 0.01
+        rho /= rho.sum()
+        means = a @ rho
+        scaled = (a - means[:, None]) * np.sqrt(rho)
+        direct = scaled @ scaled.T
+        hess = classical._covariance(a, rho, means, np.empty((m, min(n, cols))))
+        np.testing.assert_array_equal(hess, hess.T)
+        scale = float(np.max(np.abs(direct)))
+        assert float(np.max(np.abs(hess - direct))) <= 1e-13 * scale
+        vals = np.linalg.eigvalsh(hess)
+        assert vals[0] >= -1e-15 * vals[-1]

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmaxent
 from qmaxent.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -213,10 +216,15 @@ class TestUsage:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same qmaxent as this process, installed or not
+    root = str(Path(qmaxent.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qmaxent", "verify", "--seed", "3", "--trials", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 6

@@ -363,3 +363,15 @@ class TestSolveQuantum:
             assert report.posterior.normalized
             assert report.partition_value > 0
             assert report.log_partition == pytest.approx(np.log(report.partition_value))
+
+
+def test_posterior_from_multipliers_gives_inf_partition_without_overflow_warning():
+    # ln Z ~ 2201.6 here; exp(ln Z) used to warn "overflow encountered in exp"
+    prior = DensityMatrix(np.eye(2) / 2)
+    obs = [HermitianOperator(np.diag([1000.0, 1001.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post, z = posterior_from_multipliers(prior, obs, [2.2])
+    assert z == np.inf
+    assert log_partition(prior, obs, [2.2]) == pytest.approx(2200.0 + np.log(0.5 + 0.5 * np.exp(2.2)))
+    np.testing.assert_allclose(np.diag(post.matrix).real, [1, np.exp(2.2)] / (1 + np.exp(2.2)))

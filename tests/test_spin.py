@@ -100,6 +100,12 @@ class TestSpinPartition:
         p = SpinProblem(a=1.2, b=0.5, c1=0, cx=1, cy=0, cz=0, target=0.0)
         assert spin_partition(p, 0.0) == pytest.approx(1.7)
 
+    def test_beyond_float_range_is_inf_not_overflow_error(self):
+        # ln Z ~ 4401.5 here; 2 e^lam cosh|w| used to raise OverflowError
+        p = SpinProblem(0.5, 0.5, 2000, 0, 0, 1, 2000.9)
+        assert spin_partition(p, 2.2) == math.inf
+        assert spin_partition(p, 0.3) == pytest.approx(math.exp(600.0) * math.cosh(0.3), rel=1e-12)
+
     def test_matches_trace_of_exponential(self):
         rng = np.random.default_rng(52)
         for _ in range(30):

@@ -21,7 +21,7 @@ from .classical import (
     solve_classical,
 )
 from .errors import DomainError, ShapeError
-from .linalg import HermitianOperator, kron, matrix_exp, matrix_log
+from .linalg import HermitianOperator, kron, matrix_exp
 from .quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -178,11 +178,9 @@ def check_log_tensor_additivity(
 
     All four states must be full rank so both logs exist.
     """
-    joint_rho = HermitianOperator(kron(rho1.matrix, rho2.matrix))
-    joint_phi = HermitianOperator(kron(phi1.matrix, phi2.matrix))
-    lhs = -(
-        matrix_log(joint_rho, domain_guard=1e-12).matrix
-        - matrix_log(joint_phi, domain_guard=1e-12).matrix
+    lhs = _log_gap(
+        DensityMatrix(kron(rho1.matrix, rho2.matrix)),
+        DensityMatrix(kron(phi1.matrix, phi2.matrix)),
     )
     i1 = np.eye(rho1.dim, dtype=complex)
     i2 = np.eye(rho2.dim, dtype=complex)

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleTargetError
 from .report import SolverReport
 
-CONDITION_LIMIT = 1e12
-PINV_RCOND = 1e-12
+RCOND = 1e-12
 DEPENDENCY_RTOL = 1e-12
 ARMIJO = 1e-4
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
@@ -31,18 +30,21 @@ def _norm(x: np.ndarray) -> float:
     return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The Newton step, else the pseudoinverse step, else steepest descent."""
-    if np.all(np.isfinite(hess)):
-        # a rank-deficient constraint family leaves the dual flat along a
-        # subspace; the pseudoinverse step stays out of it
-        if np.linalg.cond(hess) <= CONDITION_LIMIT:
-            step = np.linalg.solve(hess, -grad)
-        else:
-            step = -np.linalg.pinv(hess, rcond=PINV_RCOND) @ grad
-        if np.all(np.isfinite(step)) and float(grad @ step) < 0:
-            return step
-    return -grad
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One SVD of H gives the step and, as rows, H's null directions.
+
+    Singular values above RCOND times the largest give the Newton step, or
+    the pseudoinverse step if H is rank deficient, flat along the dropped
+    singular vectors; a non-finite H or a non-descent step gives -grad.
+    """
+    if not np.all(np.isfinite(hess)):
+        return -grad, np.empty((0, len(grad)))
+    u, s, vt = np.linalg.svd(hess)
+    keep = s > RCOND * s[0]
+    step = -vt[keep].T @ ((u[:, keep].T @ grad) / s[keep])
+    if not (np.all(np.isfinite(step)) and float(grad @ step) < 0):
+        step = -grad
+    return step, vt[~keep]
 
 
 def newton_dual(
@@ -63,21 +65,22 @@ def newton_dual(
     the eigenvalues of sum_i d_i A_i (for a classical problem, its values
     on the states); posterior(state) is the reported posterior. The
     iteration stops when max |gradient| <= tol. If it stops otherwise, on
-    a stalled line search or after max_iter steps, _certify may
-    raise InfeasibleTargetError. tol must be finite and positive: a NaN
-    tol would end the iteration before its first step.
+    a stalled line search or after max_iter steps, _certify may raise
+    InfeasibleTargetError. tol must be finite and positive and max_iter a
+    non-negative integer: a NaN tol stops the loop at once, -1 never.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise DomainError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     state, ln_z, grad = evaluate(alpha)
     steps = 0
     stop = None
     while float(np.max(np.abs(grad))) > tol:
-        hess = hessian(state)
+        step, null = _newton_step(hessian(state), grad)
         if steps == max_iter:
             stop = f"no convergence in {max_iter} iterations"
             break
-        step = _newton_step(hess, grad)
         # Armijo decrease of G, except where the predicted decrease is
         # within the rounding error of G itself, near the optimum: there a
         # smaller residual norm is accepted, since the gradient stays
@@ -100,7 +103,7 @@ def newton_dual(
         alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
         steps += 1
     if stop:
-        _certify(hess, grad, alpha, spectrum, targets, tol, stop)
+        _certify(null, grad, alpha, spectrum, targets, tol, stop)
     return SolverReport(
         multipliers=alpha,
         log_partition=ln_z,
@@ -112,7 +115,7 @@ def newton_dual(
 
 
 def _certify(
-    hess: np.ndarray,
+    null: np.ndarray,
     grad: np.ndarray,
     alpha: np.ndarray,
     spectrum: Callable[[np.ndarray], np.ndarray],
@@ -126,12 +129,11 @@ def _certify(
     and both are relative, so the decision does not depend on the units
     of the observables. stop says why the iteration ended.
 
-    Dependency: candidates are the Hessian's null directions d, unit
-    eigenvectors whose eigenvalue is at most PINV_RCOND times the largest,
-    the cutoff of the pseudoinverse step. When the spectrum of
-    sum_i d_i A_i spans at most DEPENDENCY_RTOL of sum_i |d_i| norm(A_i),
-    with norm the largest absolute eigenvalue, sum_i d_i A_i is a constant
-    c to rounding: the sum may cancel to noise, so its own size is no
+    Dependency: candidates are the rows d of null, the unit Hessian null
+    directions that the step's SVD dropped. When the spectrum of sum_i
+    d_i A_i spans at most DEPENDENCY_RTOL of sum_i |d_i| norm(A_i), with
+    norm the largest absolute eigenvalue, sum_i d_i A_i is a constant c
+    to rounding: the sum may cancel to noise, so its own size is no
     yardstick. Then every state has sum_i d_i <A_i> = c, and the residual
     component d.grad = c - d.t is the same at every alpha. If it exceeds
     tol, no state meets the targets.
@@ -140,23 +142,20 @@ def _certify(
     sum_i d_i <A_i> <= max spectrum(d); if that bound lies below d.t, no
     state meets the targets. Only the direction of alpha matters.
     """
-    if np.all(np.isfinite(hess)):
-        vals, vecs = np.linalg.eigh(hess)
-        norms = None
-        for d in vecs[:, vals <= PINV_RCOND * vals[-1]].T:
-            if norms is None:
-                norms = np.array([np.abs(spectrum(e)).max() for e in np.eye(len(d))])
-            spec = spectrum(d)
-            if float(spec.max() - spec.min()) > DEPENDENCY_RTOL * float(np.abs(d) @ norms):
-                continue
-            miss = float(d @ grad)
-            if abs(miss) > tol:
-                raise InfeasibleTargetError(
-                    f"along d = {np.array2string(d, precision=6)} the observables combine "
-                    f"to a constant, so sum_i d_i <A_i> is the same for every state, but "
-                    f"the targets miss it by {miss!r}: they contradict an exact linear "
-                    f"dependency and are jointly infeasible"
-                )
+    if len(null):
+        norms = np.array([np.abs(spectrum(e)).max() for e in np.eye(null.shape[1])])
+    for d in null:
+        spec = spectrum(d)
+        if float(spec.max() - spec.min()) > DEPENDENCY_RTOL * float(np.abs(d) @ norms):
+            continue
+        miss = float(d @ grad)
+        if abs(miss) > tol:
+            raise InfeasibleTargetError(
+                f"along d = {np.array2string(d, precision=6)} the observables combine "
+                f"to a constant, so sum_i d_i <A_i> is the same for every state, but "
+                f"the targets miss it by {miss!r}: they contradict an exact linear "
+                f"dependency and are jointly infeasible"
+            )
     norm = _norm(alpha)
     if norm == 0.0:
         return

@@ -138,14 +138,16 @@ def trace_product(a, b) -> float:
     """Re Tr(AB) for Hermitian A, B.
 
     Tr(AB) is real for Hermitian operands; an imaginary residue above
-    1e-10 indicates a non-Hermitian input and is rejected.
+    1e-10 times max(1, sum_ij |A_ij B_ji|), the scale of its rounding,
+    indicates a non-Hermitian input and is rejected.
     """
     am = a.matrix if isinstance(a, HermitianOperator) else _as_square_array(a)
     bm = b.matrix if isinstance(b, HermitianOperator) else _as_square_array(b)
     if am.shape != bm.shape:
         raise ShapeError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    value = np.sum(am * bm.T)
-    if abs(value.imag) > 1e-10:
+    terms = am * bm.T
+    value = np.sum(terms)
+    if abs(value.imag) > 1e-10 * max(1.0, float(np.sum(np.abs(terms)))):
         raise DomainError(
             f"Tr(AB) has imaginary part {value.imag:.3e}; operands must be Hermitian"
         )

@@ -131,8 +131,11 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     is 0 if the target matches, otherwise no multiplier exists. For a
     nondegenerate observable the attainable targets are exactly the open
     interval (c1 - |c|, c1 + |c|); the bracket is found by probing the
-    orientation and doubling, then bisected to tol.
+    orientation and doubling, then bisected to tol, which must be finite
+    and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     amp2 = p.cx * p.cx + p.cy * p.cy + p.cz * p.cz
     if amp2 == 0.0:
         if abs(p.c1 - p.target) <= tol:

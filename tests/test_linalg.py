@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmaxent.checks import random_density_matrix
 from qmaxent.errors import DomainError, ShapeError
 from qmaxent.linalg import (
     HermitianOperator,
@@ -212,6 +213,15 @@ class TestTraceProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             trace_product(np.eye(2), np.eye(3))
+
+    def test_large_hermitian_operands_are_not_rejected(self):
+        # the rounding residue 3.5e-10 of Tr(rho 1e7 H) at dim 32 is 5e-18
+        # of sum |A_ij B_ji|, but an absolute 1e-10 test called H non-Hermitian
+        rng = np.random.default_rng(0)
+        h = random_hermitian(rng, 32).matrix
+        rho = random_density_matrix(rng, 32, 0.3)
+        value = trace_product(rho.op, HermitianOperator(1e7 * h))
+        assert value == pytest.approx(1e7 * np.sum(rho.matrix * h.T).real, rel=1e-12)
 
 
 class TestNonFiniteEntries:

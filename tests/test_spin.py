@@ -200,6 +200,14 @@ class TestSolveSpin:
         assert report.converged
         assert abs(report.multipliers[0]) <= 1e-10
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tol_that_is_not_finite_and_positive_is_rejected(self, tol):
+        # nan, -1 and 0 ran 53 bisection steps and reported converged=False;
+        # inf reported converged=True at alpha = 0 with residual -0.4
+        p = SpinProblem(a=0.5, b=0.5, c1=0, cx=0, cy=0, cz=1, target=0.4)
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            solve_spin(p, tol=tol)
+
     def test_degenerate_observable_matching_target(self):
         p = SpinProblem(a=0.5, b=0.5, c1=0.7, cx=0, cy=0, cz=0, target=0.7)
         report = solve_spin(p)

@@ -5,7 +5,10 @@ sum_i rho_i A_j(x_i) = t_j, the posterior maximizing relative entropy is
 rho_i = phi_i exp(sum_j alpha_j A_j(x_i)) / Z. The multipliers alpha are
 found by Newton iteration on the convex dual G(alpha) = ln Z - alpha.t,
 whose gradient is the residual vector and whose Hessian is the
-constraint covariance under the current iterate.
+constraint covariance under the current iterate. The iteration starts
+at alpha = 0, whose exponent is ln phi itself, so the start skips the
+product a^T alpha, one of the two passes an evaluation makes over the
+constraint block.
 
 Besides its inputs, a solve holds the stacked m x n constraint block,
 one cache-sized (m, cols) buffer and a few length-n vectors. The
@@ -15,7 +18,7 @@ makes an m x n temporary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -90,12 +93,16 @@ class ClassicalConstraint:
 
     values: np.ndarray
     target: float
+    # (min, max) of the values, which the solver's range check reads
+    _range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"constraint values must be a nonempty vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # the extremes are NaN if any value is, and infinite if any value is
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DomainError("constraint values must be finite")
         if not np.isfinite(self.target):
             raise DomainError("constraint target must be finite")
@@ -103,6 +110,7 @@ class ClassicalConstraint:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "target", float(self.target))
+        object.__setattr__(self, "_range", (lo, hi))
 
 
 def relative_entropy(
@@ -139,7 +147,7 @@ def _check_problem(
             raise ShapeError(
                 f"constraint {k} has {c.values.size} values for {prior.n} states"
             )
-        lo, hi = float(c.values.min()), float(c.values.max())
+        lo, hi = c._range
         if not (lo < c.target < hi):
             raise InfeasibleTargetError(
                 f"constraint {k}: target {c.target!r} is not strictly inside "
@@ -208,10 +216,9 @@ def solve_classical(
             converged=True,
         )
 
-    def evaluate(alpha: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
+    def point(ln_w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
         # the one logsumexp per dual evaluation: rho, ln Z and the means,
         # which the covariance reads back instead of forming a @ rho again
-        ln_w = ln_phi + a.T @ alpha
         ln_z = logsumexp(ln_w)
         rho = np.exp(ln_w - ln_z)
         means = a @ rho
@@ -219,7 +226,8 @@ def solve_classical(
 
     block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * m)))))
     return newton_dual(
-        np.zeros(m), t, evaluate, lambda state: _covariance(a, *state, block),
+        point(ln_phi), t, lambda alpha: point(ln_phi + a.T @ alpha),
+        lambda state: _covariance(a, *state, block),
         lambda d: d @ a,
         lambda state: ClassicalDistribution(state[0], normalized=True), tol, max_iter,
     )

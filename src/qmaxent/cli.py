@@ -70,6 +70,10 @@ def run_update(path: str, out_path: str | None = None) -> int:
     except json.JSONDecodeError as exc:
         _say(f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         return EXIT_ERROR
+    except ValueError as exc:
+        # an integer with more digits than int() converts from text
+        _say(f"error: {path}: {exc}")
+        return EXIT_ERROR
     try:
         mode, payload = parse_problem(raw)
     except (ProblemFormatError, DomainError, ShapeError) as exc:
@@ -110,6 +114,9 @@ def run_update(path: str, out_path: str | None = None) -> int:
 def run_verify(seed: int, trials: int, out_path: str | None = None) -> int:
     if trials < 1:
         _say(f"error: trials must be at least 1, got {trials}")
+        return EXIT_ERROR
+    if seed < 0:
+        _say(f"error: seed must be non-negative, got {seed}")
         return EXIT_ERROR
     results = run_all_checks(seed=seed, trials=trials)
     try:

@@ -41,14 +41,16 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.nda
         return -grad, np.empty((0, len(grad)))
     u, s, vt = np.linalg.svd(hess)
     keep = s > RCOND * s[0]
-    step = -vt[keep].T @ ((u[:, keep].T @ grad) / s[keep])
-    if not (np.all(np.isfinite(step)) and float(grad @ step) < 0):
-        step = -grad
+    # a step that overflows is replaced below, so its overflow is no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = -vt[keep].T @ ((u[:, keep].T @ grad) / s[keep])
+        if not (np.all(np.isfinite(step)) and float(grad @ step) < 0):
+            step = -grad
     return step, vt[~keep]
 
 
 def newton_dual(
-    alpha: np.ndarray,
+    start: tuple[Any, float, np.ndarray],
     targets: np.ndarray,
     evaluate: Callable[[np.ndarray], tuple[Any, float, np.ndarray]],
     hessian: Callable[[Any], np.ndarray],
@@ -57,12 +59,15 @@ def newton_dual(
     tol: float,
     max_iter: int,
 ) -> SolverReport:
-    """Minimize G(alpha) = ln Z(alpha) - alpha.t by damped Newton steps from alpha.
+    """Minimize G(alpha) = ln Z(alpha) - alpha.t by damped Newton steps from alpha = 0.
 
     evaluate(alpha) does the one expensive computation per trial point
-    and returns a state, ln Z and the gradient <A> - t there; hessian(state)
-    is the covariance of the observables in that state; spectrum(d) gives
-    the eigenvalues of sum_i d_i A_i (for a classical problem, its values
+    and returns a state, ln Z and the gradient <A> - t there. start is
+    that triple at alpha = 0, where the state is the normalized prior:
+    each solver builds it from what the prior already holds, and evaluate
+    runs only for line-search trials. hessian(state) is the
+    covariance of the observables in that state; spectrum(d) gives the
+    eigenvalues of sum_i d_i A_i (for a classical problem, its values
     on the states); posterior(state) is the reported posterior. The
     iteration stops when max |gradient| <= tol. If it stops otherwise, on
     a stalled line search or after max_iter steps, _certify may raise
@@ -73,7 +78,11 @@ def newton_dual(
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise DomainError(f"max_iter must be a non-negative integer, got {max_iter!r}")
-    state, ln_z, grad = evaluate(alpha)
+    alpha = np.zeros(len(targets))
+    state, ln_z, grad = start
+    # a live start would hold the starting state, for a classical problem
+    # one more length-n vector, until the solve returns
+    del start
     steps = 0
     stop = None
     while float(np.max(np.abs(grad))) > tol:
@@ -84,22 +93,25 @@ def newton_dual(
         # Armijo decrease of G, except where the predicted decrease is
         # within the rounding error of G itself, near the optimum: there a
         # smaller residual norm is accepted, since the gradient stays
-        # accurate down to machine scale and G does not
-        g0 = ln_z - float(alpha @ targets)
-        noise = ROUNDING * (abs(ln_z) + _norm(alpha) * _norm(targets))
-        slope = float(grad @ step)
-        grad_norm = float(np.linalg.norm(grad))
-        for scale in STEP_SCALES:
-            cand = alpha + scale * step
-            cand_state, cand_ln_z, cand_grad = evaluate(cand)
-            if -scale * slope > noise:
-                if cand_ln_z - float(cand @ targets) <= g0 + ARMIJO * scale * slope:
+        # accurate down to machine scale and G does not. A trial whose G
+        # or gradient is not finite fails both tests, and an exponent that
+        # overflows to -inf only makes a weight 0, so overflow is no error
+        with np.errstate(over="ignore", invalid="ignore"):
+            g0 = ln_z - float(alpha @ targets)
+            noise = ROUNDING * (abs(ln_z) + _norm(alpha) * _norm(targets))
+            slope = float(grad @ step)
+            grad_norm = float(np.linalg.norm(grad))
+            for scale in STEP_SCALES:
+                cand = alpha + scale * step
+                cand_state, cand_ln_z, cand_grad = evaluate(cand)
+                if -scale * slope > noise:
+                    if cand_ln_z - float(cand @ targets) <= g0 + ARMIJO * scale * slope:
+                        break
+                elif float(np.linalg.norm(cand_grad)) < grad_norm:
                     break
-            elif float(np.linalg.norm(cand_grad)) < grad_norm:
+            else:
+                stop = "line search stalled"
                 break
-        else:
-            stop = "line search stalled"
-            break
         alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
         steps += 1
     if stop:

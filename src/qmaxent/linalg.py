@@ -41,19 +41,20 @@ class HermitianOperator:
 
     def __init__(self, matrix):
         arr = _as_square_array(matrix)
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
+        if not np.isfinite(arr).all():
             # NaN also slips through the drift test below: NaN > tol is False
+            bad = np.argwhere(~np.isfinite(arr))
             entries = ", ".join(f"({i}, {j})" for i, j in bad[:8].tolist())
             more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
             raise DomainError(f"matrix has non-finite entries at {entries}{more}")
-        drift = float(np.max(np.abs(arr - arr.conj().T)))
+        adj = arr.conj().T
+        drift = float(np.max(np.abs(arr - adj)))
         if drift > HERMITICITY_TOL:
             raise DomainError(
                 f"matrix is not Hermitian: max |M - M^dag| = {drift:.3e} "
                 f"exceeds tolerance {HERMITICITY_TOL:.3e}"
             )
-        self._matrix = (arr + arr.conj().T) / 2.0
+        self._matrix = (arr + adj) * 0.5
         self._matrix.setflags(write=False)
 
     @property

@@ -8,14 +8,15 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. ln phi comes from the decomposition
-the prior made at construction and the posterior from the last one of C,
-so a solve runs no other. The observables are stacked once per
-solve as an (m, d^2) array, so C and the m means are one matrix-vector
-product each and the Hessian is one Gram product of the rotated,
-kernel-scaled observables. Feasibility of each target is decided by a
-bracket of Rayleigh quotients, with an eigenvalue solve only where the
-bracket cannot tell. The Newton iteration itself is
+line-search trial and none besides. At the start, alpha = 0, C is ln phi
+and its Gibbs state is the prior: it, and ln phi, come from the
+decomposition the prior made at construction, and the posterior from
+the last one of C, so a solve runs no other. The observables are
+stacked once per solve as an (m, d^2) array, so C and the m means are
+one matrix-vector product each and the Hessian is one Gram product of
+the rotated, kernel-scaled observables. Feasibility of each target is
+decided by a bracket of Rayleigh quotients, with an eigenvalue solve
+only where the bracket cannot tell. The Newton iteration itself is
 qmaxent.dual.newton_dual, shared with the classical solver.
 """
 
@@ -198,6 +199,14 @@ def _gibbs_state(c: np.ndarray) -> _GibbsState:
     return _GibbsState(vals, vecs, p, float(vals[-1] + np.log(total)), _spectral_matrix(vecs, p))
 
 
+def _prior_state(phi: DensityMatrix) -> _GibbsState:
+    """The Gibbs state of ln phi, which is phi normalized, from the decomposition phi holds."""
+    vals, vecs = phi.eigenvalues, phi.eigenvectors
+    total = float(vals.sum())
+    p = vals / total
+    return _GibbsState(np.log(vals), vecs, p, float(np.log(total)), _spectral_matrix(vecs, p))
+
+
 def _gibbs_at(
     phi: DensityMatrix, observables: Sequence[HermitianOperator], alphas
 ) -> _GibbsState:
@@ -293,9 +302,9 @@ def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
     diag = a.diagonal().real
     mid = (diag[:, None] + diag[None, :]) / 2.0
     radius = np.abs(a)
+    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * float(np.linalg.norm(radius))
     # |A_jj| is no radius: e_j alone gives A_jj
     np.fill_diagonal(radius, 0.0)
-    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * float(np.linalg.norm(a))
     return float((mid - radius).min()) + slack, float((mid + radius).max()) - slack
 
 
@@ -356,15 +365,17 @@ def solve_quantum(
     targets = np.array([c.target for c in constraints])
     ln_phi = _log(prior)
 
-    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
-        # the one eigendecomposition per dual evaluation
-        state = _gibbs_state(_exponent(ln_phi, flat, alpha))
+    def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
         # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
         means = (flat @ state.rho.T.ravel()).real
         return state, state.ln_z, means - targets
 
+    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
+        # the one eigendecomposition per dual evaluation
+        return point(_gibbs_state(_exponent(ln_phi, flat, alpha)))
+
     return newton_dual(
-        np.zeros(m), targets, evaluate,
+        point(_prior_state(prior)), targets, evaluate,
         lambda state: _bkm_covariance(state, flat),
         lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
         _GibbsState.posterior, tol, max_iter,

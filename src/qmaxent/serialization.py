@@ -26,6 +26,10 @@ class ProblemFormatError(ValueError):
     """A problem file or matrix object does not match the expected shape."""
 
 
+# JSON integers have no size limit; float() raises OverflowError past 2^1024
+_BEYOND_FLOAT = "integer is beyond the float range"
+
+
 def matrix_to_obj(matrix) -> dict:
     arr = np.asarray(matrix, dtype=complex)
     n = arr.shape[0]
@@ -55,7 +59,10 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
             raise ProblemFormatError(
                 f"{where}.entries[{k}]: expected a [re, im] pair of reals, got {pair!r}"
             )
-        flat[k] = complex(pair[0], pair[1])
+        try:
+            flat[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ProblemFormatError(f"{where}.entries[{k}]: {_BEYOND_FLOAT}") from None
     return flat.reshape(dim, dim)
 
 
@@ -65,7 +72,13 @@ def _real_vector(obj, where: str) -> np.ndarray:
     for k, x in enumerate(obj):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ProblemFormatError(f"{where}[{k}]: expected a real number, got {x!r}")
-    return np.asarray(obj, dtype=float)
+    try:
+        return np.asarray(obj, dtype=float)
+    except OverflowError:
+        # name the first entry that float() rejects
+        for k, x in enumerate(obj):
+            _real_scalar(x, f"{where}[{k}]")
+        raise
 
 
 def _hermitian(obj, where: str) -> HermitianOperator:
@@ -75,7 +88,10 @@ def _hermitian(obj, where: str) -> HermitianOperator:
 def _real_scalar(obj, where: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ProblemFormatError(f"{where}: expected a real number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ProblemFormatError(f"{where}: {_BEYOND_FLOAT}") from None
 
 
 def _solver_options(obj) -> dict:

@@ -308,8 +308,9 @@ class TestRunAllChecks:
             run_all_checks(seed=1, trials=0)
 
     def test_eigh_calls_in_default_run_are_pinned(self, monkeypatch):
-        # the log-gap of each factor state reads the decomposition the
-        # DensityMatrix holds; a fresh eigh of each would add 80 calls
+        # the log-gap of each factor state, and each solve's starting
+        # state, read the decomposition the DensityMatrix holds; a fresh
+        # eigh of each factor would add 80 calls, of each start 100
         calls = []
         original = np.linalg.eigh
 
@@ -319,7 +320,7 @@ class TestRunAllChecks:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert all(r.passed for r in run_all_checks())
-        assert len(calls) == 914
+        assert len(calls) == 814
 
 
 class TestCommutingReductionRegression:

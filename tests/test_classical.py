@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -43,6 +44,24 @@ def bisect_oracle(target, lo=0.0, hi=10.0):
     return 0.5 * (lo + hi)
 
 
+@functools.cache
+def _study_draws():
+    """2000 random problems, each target uniform over its row's range.
+
+    default_rng(1) draws, per problem, n in [2, 6], m in [1, 3], a prior
+    uniform on [0.1, 1], an m x n normal block and the targets. About half
+    the target sets are jointly infeasible.
+    """
+    rng = np.random.default_rng(1)
+    draws = []
+    for _ in range(2000):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        prior = rng.uniform(0.1, 1, size=n)
+        a = rng.normal(size=(m, n))
+        draws.append((prior, a, [rng.uniform(row.min(), row.max()) for row in a]))
+    return draws
+
+
 class TestClassicalDistribution:
     def test_auto_detects_normalization(self):
         assert ClassicalDistribution([0.25, 0.75]).normalized
@@ -65,6 +84,14 @@ class TestClassicalDistribution:
     def test_normalize(self):
         d = ClassicalDistribution([2.0, 6.0]).normalize()
         np.testing.assert_allclose(d.weights, [0.25, 0.75])
+
+
+class TestClassicalConstraint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        # the range of the values, taken once, shows a NaN or an infinity
+        with pytest.raises(DomainError, match="constraint values must be finite"):
+            ClassicalConstraint([1.0, bad, 3.0], 2.0)
 
 
 class TestRelativeEntropy:
@@ -419,6 +446,22 @@ class TestNewtonDriverRegressions:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
                 solve_classical(prior, cons)
+
+    @pytest.mark.parametrize(
+        "k", [177, 464, 609, 735, 829, 1109, 1119, 1447, 1509, 1624, 1778]
+    )
+    def test_overflowing_trial_points_raise_the_certificate_not_a_warning(self, k):
+        # jointly infeasible draws of the study generator whose Newton
+        # steps and trial points overflow on the way to the Farkas
+        # certificate; numpy warned "overflow encountered in divide" in the
+        # step, and in a.T @ alpha, ln_w - ln_z and logsumexp, and under
+        # warnings-as-errors the warning was raised instead
+        prior, a, t = _study_draws()[k]
+        cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
+                solve_classical(ClassicalDistribution(prior), cons)
 
     def test_large_partition_function_solves_without_overflow_warning(self):
         # ln Z ~ 2199 here; the report used to store exp(ln Z) and numpy

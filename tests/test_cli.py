@@ -185,6 +185,13 @@ class TestVerify:
         assert main(["verify", "--trials", "0"]) == EXIT_ERROR
         assert "trials" in capsys.readouterr().err
 
+    def test_rejects_negative_seed(self, capsys):
+        # default_rng(-1) raised a ValueError that ended in a traceback
+        assert main(["verify", "--seed", "-1", "--trials", "1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be non-negative")
+        assert captured.out == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -288,6 +295,45 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert math.isfinite(report["log_partition"])
 
+    @pytest.mark.parametrize(
+        "where",
+        ["prior[1]", "constraints[0].target", "target", "prior.entries[3]"],
+    )
+    def test_integer_beyond_float_range_exits_error(self, tmp_path, capsys, where):
+        # JSON integers have no size limit; float() of a 401-digit one
+        # raised an OverflowError and the command died with a traceback
+        big = 10**400
+        docs = {
+            "prior[1]": {"mode": "classical", "prior": [1, big, 1], "constraints": []},
+            "constraints[0].target": {
+                "mode": "classical",
+                "prior": [1, 1, 1],
+                "constraints": [{"observable": [1, 2, 3], "target": big}],
+            },
+            "target": dict(spin_problem_obj(), target=-big),
+            "prior.entries[3]": {
+                "mode": "quantum",
+                "prior": {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [big, 0]]},
+                "constraints": [],
+            },
+        }
+        path = write_problem(tmp_path / "big.json", docs[where])
+        assert main(["update", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {where}: integer is beyond the float range\n"
+
+    def test_integer_past_the_digit_limit_exits_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more than sys.get_int_max_str_digits() digits
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '{"mode": "spin", "a": 0.5, "b": 0.5, "c": [0, 0, 0, 1], "target": '
+            + "1" * 5000 + "}",
+            encoding="utf-8",
+        )
+        assert main(["update", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_nan_observable_exits_error(self, tmp_path, capsys):
         # json accepts NaN; the observable used to pass validation and exit 2
         observable = matrix_to_obj(np.diag([np.nan, 1.0]))
@@ -310,8 +356,8 @@ def test_quantum_update_runs_one_eigensolve_per_density_matrix_and_dual_evaluati
     tmp_path, monkeypatch, capsys
 ):
     # a dim-16, m-4 problem planted at beta: the parsed prior's
-    # decomposition, then the starting point and one per line-search trial
-    # (full Newton steps here). ln phi, the posterior and both entropies
+    # decomposition, then one per line-search trial (full Newton steps
+    # here). The starting state, ln phi, the posterior and both entropies
     # add none
     rng = np.random.default_rng(3)
 
@@ -355,4 +401,4 @@ def test_quantum_update_runs_one_eigensolve_per_density_matrix_and_dual_evaluati
     report = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(report["multipliers"], beta, atol=1e-8)
     assert report["iterations"] >= 3
-    assert len(calls) == 2 + report["iterations"]
+    assert len(calls) == 1 + report["iterations"]

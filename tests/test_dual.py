@@ -1,10 +1,11 @@
-"""The shared dual Newton iteration: one SVD per step, the dependency certificate, its arguments."""
+"""The shared Newton iteration: its start, one SVD per step, the dependency certificate, its arguments."""
 
 import numpy as np
 import pytest
 
+from qmaxent import classical, quantum
 from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
-from qmaxent.dual import RCOND, _newton_step
+from qmaxent.dual import RCOND, _newton_step, newton_dual
 from qmaxent.errors import DomainError, InfeasibleTargetError
 from qmaxent.linalg import PAULI_X, PAULI_Z, HermitianOperator
 from qmaxent.quantum import DensityMatrix, QuantumConstraint, solve_quantum
@@ -95,3 +96,70 @@ class TestMaxIterArgument:
         report = solve(np.int64(0))
         assert report.iterations == 0
         assert not report.converged
+
+
+def _start_and_evaluate(monkeypatch, module, solve, prior, constraints):
+    """The start a solver hands newton_dual, and its evaluate at alpha = 0."""
+    seen = {}
+
+    def capture(start, targets, evaluate, *args):
+        seen["start"], seen["zero"] = start, evaluate(np.zeros(len(targets)))
+        return newton_dual(start, targets, evaluate, *args)
+
+    monkeypatch.setattr(module, "newton_dual", capture)
+    solve(prior, constraints)
+    return seen["start"], seen["zero"]
+
+
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+class TestStartState:
+    """Each solver starts at alpha = 0 from what the prior holds, with no evaluation there.
+
+    Its state, ln Z and residuals must be those evaluate(0) computes:
+    the Gibbs state of ln phi is phi over its trace, and ln Z is the log
+    of that trace, which is not 0 for a prior within rounding of unit trace.
+    """
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.3], [0.25] * 4, [0.1, 0.2, 0.3, 0.4 + 5e-11]],
+        ids=["distinct", "degenerate", "maximally-mixed", "trace-1+5e-11"],
+    )
+    def test_quantum_start_is_the_gibbs_state_at_zero(self, monkeypatch, spectrum):
+        rng = np.random.default_rng(8)
+        u = _unitary(rng, 4)
+        prior = DensityMatrix((u * np.array(spectrum)) @ u.conj().T)
+        assert prior.normalized
+        observables = [HermitianOperator(PAULI_Z), HermitianOperator(PAULI_X)]
+        cons = [
+            QuantumConstraint(np.kron(o.matrix, np.eye(2)), t)
+            for o, t in zip(observables, (0.2, -0.1))
+        ]
+        start, zero = _start_and_evaluate(monkeypatch, quantum, solve_quantum, prior, cons)
+        np.testing.assert_allclose(start[0].rho, zero[0].rho, rtol=0, atol=1e-14)
+        assert abs(start[1] - zero[1]) <= 1e-14
+        assert abs(start[1] - np.log(prior.trace)) <= 1e-15
+        np.testing.assert_allclose(start[2], zero[2], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.1, 0.2, 0.3, 0.4], [0.25] * 4, [0.1, 0.2, 0.3, 0.4 + 5e-11]],
+        ids=["distinct", "uniform", "total-1+5e-11"],
+    )
+    def test_classical_start_is_the_gibbs_state_at_zero(self, monkeypatch, weights):
+        prior = ClassicalDistribution(weights)
+        cons = [
+            ClassicalConstraint([1.0, 2.0, 3.0, 4.0], 2.2),
+            ClassicalConstraint([0.0, 1.0, 0.0, -1.0], 0.1),
+        ]
+        start, zero = _start_and_evaluate(monkeypatch, classical, solve_classical, prior, cons)
+        (rho, means), ln_z, grad = start
+        np.testing.assert_allclose(rho, zero[0][0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(means, zero[0][1], rtol=0, atol=1e-14)
+        assert abs(ln_z - zero[1]) <= 1e-14
+        assert abs(ln_z - np.log(prior.total)) <= 1e-15
+        np.testing.assert_allclose(grad, zero[2], rtol=0, atol=1e-14)

@@ -56,6 +56,15 @@ class TestHermitianOperator:
         op = HermitianOperator(m)
         assert np.array_equal(op.matrix, op.matrix.conj().T)
 
+    def test_stored_matrix_is_the_halved_sum_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        m = g + g.conj().T + 1e-13 * rng.normal(size=(6, 6))
+        # odd subnormals, whose halves round
+        m[0, 1], m[1, 0] = 5e-324, 1.5e-323
+        expected = (m + m.conj().T) / 2.0
+        assert HermitianOperator(m).matrix.tobytes() == expected.tobytes()
+
     def test_rejects_large_drift(self):
         with pytest.raises(DomainError):
             HermitianOperator([[0, 1], [0, 0]])

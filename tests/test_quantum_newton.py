@@ -118,9 +118,9 @@ def planted_problem(seed, dim, m):
 
 
 def test_eigh_calls_are_one_per_dual_evaluation(monkeypatch):
-    # 1 (starting point) + one per line-search trial; this problem takes
-    # four full Newton steps, so no halvings add to it. The prior's
-    # logarithm reads the decomposition the prior made at construction
+    # one per line-search trial; this problem takes four full Newton
+    # steps, so no halvings add to it. The starting state and the prior's
+    # logarithm read the decomposition the prior made at construction
     prior, cons, beta = planted_problem(3, dim=16, m=8)
     calls = []
     eigh = np.linalg.eigh
@@ -142,7 +142,7 @@ def test_eigh_calls_are_one_per_dual_evaluation(monkeypatch):
     assert report.converged
     np.testing.assert_allclose(report.multipliers, beta, atol=1e-9)
     assert report.iterations == 4
-    assert len(calls) == 1 + report.iterations
+    assert len(calls) == report.iterations
     # the posterior comes from the last decomposition, and every target is
     # decided by its Rayleigh bracket, with no eigenvalue solve of an observable
     assert len(spectra) == 0

@@ -224,10 +224,20 @@ def solve_classical(
         means = a @ rho
         return (rho, means), ln_z, means - t
 
+    def evaluate(alpha: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
+        # jointly infeasible targets drive alpha far out, where a^T alpha
+        # and ln Z overflow; newton_dual rejects a trial whose G or
+        # gradient is not finite, and an exponent of -inf only makes a
+        # weight 0, so that overflow is no error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return point(ln_phi + a.T @ alpha)
+
     block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * m)))))
     return newton_dual(
-        point(ln_phi), t, lambda alpha: point(ln_phi + a.T @ alpha),
+        lambda: point(ln_phi), t, evaluate,
         lambda state: _covariance(a, *state, block),
+        # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
+        lambda state: 0.0,
         lambda d: d @ a,
         lambda state: ClassicalDistribution(state[0], normalized=True), tol, max_iter,
     )

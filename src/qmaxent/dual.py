@@ -30,30 +30,36 @@ def _norm(x: np.ndarray) -> float:
     return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One SVD of H gives the step and, as rows, H's null directions.
+def _newton_step(
+    hess: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """One SVD of H gives the step, its slope grad.step and, as rows, H's null directions.
 
     Singular values above RCOND times the largest give the Newton step, or
     the pseudoinverse step if H is rank deficient, flat along the dropped
     singular vectors; a non-finite H or a non-descent step gives -grad.
     """
     if not np.all(np.isfinite(hess)):
-        return -grad, np.empty((0, len(grad)))
+        return -grad, float(grad @ -grad), np.empty((0, len(grad)))
     u, s, vt = np.linalg.svd(hess)
     keep = s > RCOND * s[0]
-    # a step that overflows is replaced below, so its overflow is no error
+    # a step that overflows is replaced below, and a slope that overflows
+    # to -inf fails the Armijo test, so their overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
         step = -vt[keep].T @ ((u[:, keep].T @ grad) / s[keep])
-        if not (np.all(np.isfinite(step)) and float(grad @ step) < 0):
-            step = -grad
-    return step, vt[~keep]
+        slope = float(grad @ step)
+    if not (np.all(np.isfinite(step)) and slope < 0):
+        step = -grad
+        slope = float(grad @ step)
+    return step, slope, vt[~keep]
 
 
 def newton_dual(
-    start: tuple[Any, float, np.ndarray],
+    start: Callable[[], tuple[Any, float, np.ndarray]],
     targets: np.ndarray,
     evaluate: Callable[[np.ndarray], tuple[Any, float, np.ndarray]],
     hessian: Callable[[Any], np.ndarray],
+    magnitude: Callable[[Any], float],
     spectrum: Callable[[np.ndarray], np.ndarray],
     posterior: Callable[[Any], Any],
     tol: float,
@@ -62,11 +68,16 @@ def newton_dual(
     """Minimize G(alpha) = ln Z(alpha) - alpha.t by damped Newton steps from alpha = 0.
 
     evaluate(alpha) does the one expensive computation per trial point
-    and returns a state, ln Z and the gradient <A> - t there. start is
-    that triple at alpha = 0, where the state is the normalized prior:
-    each solver builds it from what the prior already holds, and evaluate
-    runs only for line-search trials. hessian(state) is the
-    covariance of the observables in that state; spectrum(d) gives the
+    and returns a state, ln Z and the gradient <A> - t there. start()
+    returns that triple at alpha = 0, where the state is the normalized
+    prior: each solver builds it from what the prior already holds, and
+    evaluate runs only for line-search trials. start is a callable, not
+    the triple, so that no caller's frame holds the starting state, for a
+    classical problem one more length-n vector, until the solve returns.
+    hessian(state) is the covariance of the observables in that state;
+    ROUNDING * magnitude(state) bounds the rounding error of ln Z beyond that
+    of |ln Z| itself (for a quantum problem, the eigenvalue solve's, which
+    is set by the spectral norm of C, not by ln Z); spectrum(d) gives the
     eigenvalues of sum_i d_i A_i (for a classical problem, its values
     on the states); posterior(state) is the reported posterior. The
     iteration stops when max |gradient| <= tol. If it stops otherwise, on
@@ -79,14 +90,11 @@ def newton_dual(
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise DomainError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     alpha = np.zeros(len(targets))
-    state, ln_z, grad = start
-    # a live start would hold the starting state, for a classical problem
-    # one more length-n vector, until the solve returns
-    del start
+    state, ln_z, grad = start()
     steps = 0
     stop = None
     while float(np.max(np.abs(grad))) > tol:
-        step, null = _newton_step(hessian(state), grad)
+        step, slope, null = _newton_step(hessian(state), grad)
         if steps == max_iter:
             stop = f"no convergence in {max_iter} iterations"
             break
@@ -94,24 +102,24 @@ def newton_dual(
         # within the rounding error of G itself, near the optimum: there a
         # smaller residual norm is accepted, since the gradient stays
         # accurate down to machine scale and G does not. A trial whose G
-        # or gradient is not finite fails both tests, and an exponent that
-        # overflows to -inf only makes a weight 0, so overflow is no error
-        with np.errstate(over="ignore", invalid="ignore"):
-            g0 = ln_z - float(alpha @ targets)
-            noise = ROUNDING * (abs(ln_z) + _norm(alpha) * _norm(targets))
-            slope = float(grad @ step)
-            grad_norm = float(np.linalg.norm(grad))
-            for scale in STEP_SCALES:
-                cand = alpha + scale * step
-                cand_state, cand_ln_z, cand_grad = evaluate(cand)
-                if -scale * slope > noise:
-                    if cand_ln_z - float(cand @ targets) <= g0 + ARMIJO * scale * slope:
-                        break
-                elif float(np.linalg.norm(cand_grad)) < grad_norm:
+        # or gradient is not finite fails both tests, so a G that
+        # overflows in alpha.t is no error
+        g0 = ln_z - float(alpha @ targets)
+        noise = ROUNDING * (abs(ln_z) + magnitude(state) + _norm(alpha) * _norm(targets))
+        grad_norm = float(np.linalg.norm(grad))
+        for scale in STEP_SCALES:
+            cand = alpha + scale * step
+            cand_state, cand_ln_z, cand_grad = evaluate(cand)
+            if -scale * slope > noise:
+                with np.errstate(over="ignore"):
+                    cand_g = cand_ln_z - float(cand @ targets)
+                if cand_g <= g0 + ARMIJO * scale * slope:
                     break
-            else:
-                stop = "line search stalled"
+            elif float(np.linalg.norm(cand_grad)) < grad_norm:
                 break
+        else:
+            stop = "line search stalled"
+            break
         alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
         steps += 1
     if stop:

@@ -375,8 +375,10 @@ def solve_quantum(
         return point(_gibbs_state(_exponent(ln_phi, flat, alpha)))
 
     return newton_dual(
-        point(_prior_state(prior)), targets, evaluate,
+        lambda: point(_prior_state(prior)), targets, evaluate,
         lambda state: _bkm_covariance(state, flat),
+        # eigh finds each eigenvalue of C to about eps times its spectral norm
+        lambda state: float(max(-state.vals[0], state.vals[-1])),
         lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
         _GibbsState.posterior, tol, max_iter,
     )

@@ -70,15 +70,11 @@ def _real_vector(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ProblemFormatError(f"{where}: expected a nonempty array of reals")
     for k, x in enumerate(obj):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ProblemFormatError(f"{where}[{k}]: expected a real number, got {x!r}")
-    try:
-        return np.asarray(obj, dtype=float)
-    except OverflowError:
-        # name the first entry that float() rejects
-        for k, x in enumerate(obj):
+        # a float needs no check; _real_scalar names any other entry that
+        # is not a real number or is an integer beyond the float range
+        if type(x) is not float:
             _real_scalar(x, f"{where}[{k}]")
-        raise
+    return np.asarray(obj, dtype=float)
 
 
 def _hermitian(obj, where: str) -> HermitianOperator:

@@ -17,7 +17,8 @@ class TestNewtonStep:
         b = rng.normal(size=(5, 5))
         hess = b @ b.T + np.eye(5)
         grad = rng.normal(size=5)
-        step, null = _newton_step(hess, grad)
+        step, slope, null = _newton_step(hess, grad)
+        assert slope == float(grad @ step)
         expected = np.linalg.solve(hess, -grad)
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (0, 5)
@@ -28,7 +29,8 @@ class TestNewtonStep:
         b = rng.normal(size=(5, 2))
         hess = b @ b.T
         grad = rng.normal(size=5)
-        step, null = _newton_step(hess, grad)
+        step, slope, null = _newton_step(hess, grad)
+        assert slope == float(grad @ step)
         expected = -np.linalg.pinv(hess, rcond=RCOND) @ grad
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (3, 5)
@@ -42,7 +44,8 @@ class TestNewtonStep:
     def test_non_finite_hessian_gives_steepest_descent(self, bad):
         grad = np.array([0.3, -1.2])
         hess = np.array([[1.0, bad], [bad, 2.0]])
-        step, null = _newton_step(hess, grad)
+        step, slope, null = _newton_step(hess, grad)
+        assert slope == float(grad @ step)
         np.testing.assert_array_equal(step, -grad)
         assert len(null) == 0
 
@@ -103,7 +106,7 @@ def _start_and_evaluate(monkeypatch, module, solve, prior, constraints):
     seen = {}
 
     def capture(start, targets, evaluate, *args):
-        seen["start"], seen["zero"] = start, evaluate(np.zeros(len(targets)))
+        seen["start"], seen["zero"] = start(), evaluate(np.zeros(len(targets)))
         return newton_dual(start, targets, evaluate, *args)
 
     monkeypatch.setattr(module, "newton_dual", capture)
@@ -163,3 +166,35 @@ class TestStartState:
         assert abs(ln_z - zero[1]) <= 1e-14
         assert abs(ln_z - np.log(prior.total)) <= 1e-15
         np.testing.assert_allclose(grad, zero[2], rtol=0, atol=1e-14)
+
+
+class TestLineSearchRounding:
+    """A trial's G may be off by the rounding that magnitude(state) declares.
+
+    G = alpha^2 / 2 - alpha t with t = 4e-8: the full Newton step lowers G
+    by 8e-16, and each trial's ln Z is 1e-13 too high, as an eigensolve of
+    a C of norm 1e3 may round it while ln Z itself is near 0.
+    """
+
+    @staticmethod
+    def _solve(magnitude):
+        t = np.array([4e-8])
+
+        def point(alpha, error):
+            return None, 0.5 * float(alpha @ alpha) + error, alpha - t
+
+        return newton_dual(
+            lambda: point(np.zeros(1), 0.0), t, lambda alpha: point(alpha, 1e-13),
+            lambda state: np.eye(1), magnitude, lambda d: d, lambda state: state,
+            1e-12, 5,
+        )
+
+    def test_declared_rounding_lets_the_newton_step_through(self):
+        report = self._solve(lambda state: 1e3)
+        assert report.converged
+        assert report.iterations == 1
+
+    def test_undeclared_rounding_stalls_the_line_search(self):
+        report = self._solve(lambda state: 0.0)
+        assert not report.converged
+        assert report.iterations == 0

@@ -5,10 +5,11 @@ sum_i rho_i A_j(x_i) = t_j, the posterior maximizing relative entropy is
 rho_i = phi_i exp(sum_j alpha_j A_j(x_i)) / Z. The multipliers alpha are
 found by Newton iteration on the convex dual G(alpha) = ln Z - alpha.t,
 whose gradient is the residual vector and whose Hessian is the
-constraint covariance under the current iterate. The iteration starts
-at alpha = 0, whose exponent is ln phi itself, so the start skips the
-product a^T alpha, one of the two passes an evaluation makes over the
-constraint block.
+constraint covariance under the current iterate. Each evaluation takes
+one exp of the exponent shifted by its largest entry and divides it by
+its own sum (logsumexp), so the weights sum to 1 whatever ln Z is. The
+iteration starts at alpha = 0, whose exponent is ln phi itself, so the
+start skips a^T alpha, one of an evaluation's two passes over the block.
 
 Besides its inputs, a solve holds the stacked m x n constraint block,
 one cache-sized (m, cols) buffer and a few length-n vectors. The
@@ -39,13 +40,17 @@ DEFAULT_MAX_ITER = 200
 BLOCK_BYTES = 1 << 19
 
 
-def logsumexp(x: np.ndarray) -> float:
-    """ln sum_i exp(x_i), shifted by the largest entry so no term overflows."""
+def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """ln sum_i exp(x_i) and the weights exp(x_i) / sum_j exp(x_j), from one shifted exp."""
     shift = float(np.max(x))
     if not np.isfinite(shift):
         # all -inf gives -inf, any +inf gives +inf, a NaN stays NaN
-        return shift
-    return shift + float(np.log(np.sum(np.exp(x - shift))))
+        return shift, np.full(x.shape, np.nan)
+    w = x - shift
+    np.exp(w, out=w)
+    total = float(w.sum())
+    w /= total
+    return shift + float(np.log(total)), w
 
 
 class ClassicalDistribution:
@@ -219,8 +224,7 @@ def solve_classical(
     def point(ln_w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
         # the one logsumexp per dual evaluation: rho, ln Z and the means,
         # which the covariance reads back instead of forming a @ rho again
-        ln_z = logsumexp(ln_w)
-        rho = np.exp(ln_w - ln_z)
+        ln_z, rho = logsumexp(ln_w)
         means = a @ rho
         return (rho, means), ln_z, means - t
 

@@ -8,10 +8,11 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. At the start, alpha = 0, C is ln phi
-and its Gibbs state is the prior: it, and ln phi, come from the
-decomposition the prior made at construction, and the posterior from
-the last one of C, so a solve runs no other. The observables are
+line-search trial and none besides. The Gibbs weights are the shifted
+exponentials of its eigenvalues divided by their own sum, so they sum to
+1 whatever ln Z is. At the start, alpha = 0, C is ln phi, whose spectrum
+the prior's decomposition at construction gives; the posterior comes
+from the last one of C, so a solve runs no other. The observables are
 stacked once per solve as an (m, d^2) array, so C and the m means are
 one matrix-vector product each and the Hessian is one Gram product of
 the rotated, kernel-scaled observables. Feasibility of each target is
@@ -190,21 +191,13 @@ class _GibbsState(NamedTuple):
         return DensityMatrix._from_spectrum(self.rho, self.p, self.vecs)
 
 
-def _gibbs_state(c: np.ndarray) -> _GibbsState:
-    """The Gibbs state of C from one eigendecomposition, shifted against overflow."""
-    vals, vecs = np.linalg.eigh(c)
-    w = np.exp(vals - vals[-1])
-    total = float(w.sum())
-    p = w / total
+def _gibbs(vals: np.ndarray, vecs: np.ndarray) -> _GibbsState:
+    """The Gibbs state of C = V diag(vals) V^dag, vals ascending, shifted against overflow."""
+    p = vals - vals[-1]
+    np.exp(p, out=p)
+    total = float(p.sum())
+    p /= total
     return _GibbsState(vals, vecs, p, float(vals[-1] + np.log(total)), _spectral_matrix(vecs, p))
-
-
-def _prior_state(phi: DensityMatrix) -> _GibbsState:
-    """The Gibbs state of ln phi, which is phi normalized, from the decomposition phi holds."""
-    vals, vecs = phi.eigenvalues, phi.eigenvectors
-    total = float(vals.sum())
-    p = vals / total
-    return _GibbsState(np.log(vals), vecs, p, float(np.log(total)), _spectral_matrix(vecs, p))
 
 
 def _gibbs_at(
@@ -220,7 +213,7 @@ def _gibbs_at(
     for obs in observables:
         if obs.dim != phi.dim:
             raise ShapeError(f"observable dim {obs.dim} does not match prior dim {phi.dim}")
-    return _gibbs_state(_exponent(_log(phi), _stack(observables, phi.dim), alphas))
+    return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
 
 
 def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
@@ -372,10 +365,10 @@ def solve_quantum(
 
     def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
         # the one eigendecomposition per dual evaluation
-        return point(_gibbs_state(_exponent(ln_phi, flat, alpha)))
+        return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
 
     return newton_dual(
-        lambda: point(_prior_state(prior)), targets, evaluate,
+        lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets, evaluate,
         lambda state: _bkm_covariance(state, flat),
         # eigh finds each eigenvalue of C to about eps times its spectral norm
         lambda state: float(max(-state.vals[0], state.vals[-1])),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmaxent import checks, cli
 from qmaxent.checks import (
     COMMUTING_TOL,
     LOG_TENSOR_TOL,
@@ -283,7 +284,36 @@ class TestSubdomainIndependence:
             check_subdomain_independence(prior, mask, leaky)
 
 
+@pytest.fixture
+def nan_on_third_zero_multiplier(monkeypatch):
+    # the third call is the classical zero-multiplier check of trial 2;
+    # the three after it return numbers again
+    calls = []
+    original = checks.check_zero_multiplier
+
+    def patched(prior, constraint):
+        calls.append(1)
+        result = original(prior, constraint)
+        if len(calls) == 3:
+            return PropertyResult(result.name, math.nan, result.threshold)
+        return result
+
+    monkeypatch.setattr(checks, "check_zero_multiplier", patched)
+
+
 class TestRunAllChecks:
+    def test_nan_deviation_fails_its_property(self, nan_on_third_zero_multiplier):
+        # the aggregate kept max(worst, deviation) per name, and
+        # max(0.0, nan) is 0.0: all six properties were reported passed
+        results = {r.name: r for r in run_all_checks(seed=42, trials=3)}
+        assert math.isnan(results["zero_multiplier"].max_deviation)
+        assert not results["zero_multiplier"].passed
+        assert [name for name, r in results.items() if not r.passed] == ["zero_multiplier"]
+
+    def test_nan_deviation_makes_verify_exit_1(self, nan_on_third_zero_multiplier, capsys):
+        assert cli.main(["verify", "--trials", "3"]) == cli.EXIT_ERROR
+        assert "FAIL  zero_multiplier: max deviation nan" in capsys.readouterr().err
+
     def test_names_and_order(self):
         results = run_all_checks(seed=1, trials=1)
         assert [r.name for r in results] == CHECK_NAMES

@@ -77,6 +77,15 @@ class TestClassicalDistribution:
         with pytest.raises(ShapeError):
             ClassicalDistribution([])
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([1.0, np.nan], "weights must be finite"), ([0.0, 0.0], "total weight must be positive")],
+        ids=["nan", "zero-total"],
+    )
+    def test_rejects_nan_and_zero_total(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            ClassicalDistribution(weights)
+
     def test_normalize_is_identity_when_normalized(self):
         d = ClassicalDistribution([0.3, 0.7])
         assert d.normalize() is d
@@ -92,6 +101,18 @@ class TestClassicalConstraint:
         # the range of the values, taken once, shows a NaN or an infinity
         with pytest.raises(DomainError, match="constraint values must be finite"):
             ClassicalConstraint([1.0, bad, 3.0], 2.0)
+
+    @pytest.mark.parametrize(
+        "values, target, error, message",
+        [
+            (np.ones((2, 2)), 0.5, ShapeError, "must be a nonempty vector"),
+            ([1.0, 2.0], np.inf, DomainError, "constraint target must be finite"),
+        ],
+        ids=["matrix-values", "infinite-target"],
+    )
+    def test_rejects_matrix_values_and_infinite_target(self, values, target, error, message):
+        with pytest.raises(error, match=message):
+            ClassicalConstraint(values, target)
 
 
 class TestRelativeEntropy:
@@ -473,6 +494,20 @@ class TestNewtonDriverRegressions:
             assert report.partition_value == np.inf
         assert report.converged
         assert report.multipliers[0] == pytest.approx(np.log(9.0), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [0.0, 1e2, 1e4, 1e5, 1e6])
+    def test_offset_observable_converges_to_the_unshifted_multiplier(self, c):
+        # <X> = 2.5 on {1, 2, 3} shifted by a constant c: ln Z is about c,
+        # and weights from a second exp(ln_w - ln Z) summed to 1 only to
+        # about eps c; c = 1e4 "converged" after 9 iterations at an alpha
+        # 9e-9 off, and from c = 1e5 the posterior failed its own
+        # normalization check with a DomainError
+        prior = ClassicalDistribution([1.0, 1.0, 1.0])
+        observable = ClassicalConstraint(c + np.array([0.0, 1.0, 2.0]), c + 1.5)
+        report = solve_classical(prior, [observable])
+        assert report.converged
+        assert abs(report.multipliers[0] - ALPHA_UNIFORM_123) <= 1e-10
+        assert abs(float(report.posterior.weights.sum()) - 1.0) <= 4 * np.finfo(float).eps
 
     def test_nan_tol_is_rejected_not_reported_unconverged(self):
         # max|grad| > nan is False, so the iteration never started and the

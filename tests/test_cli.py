@@ -221,6 +221,19 @@ class TestUsage:
     def test_bad_trials_value(self, capsys):
         assert main(["verify", "--trials", "many"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["update", "verify"])
+    def test_out_into_missing_directory_exits_error(self, tmp_path, capsys, command):
+        out = str(tmp_path / "missing" / "report.json")
+        if command == "update":
+            argv = ["update", write_problem(tmp_path / "spin.json", spin_problem_obj())]
+        else:
+            argv = ["verify", "--trials", "1"]
+        assert main(argv + ["--out", out]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "No such file or directory" in captured.err
+
 
 def test_module_entry_point(tmp_path):
     # the child imports the same qmaxent as this process, installed or not
@@ -294,6 +307,23 @@ class TestUpdateRegressions:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is True
         assert math.isfinite(report["log_partition"])
+
+    def test_offset_classical_observable_exits_ok(self, tmp_path, capsys):
+        # ln Z ~ 1e5: the posterior weights used to come from a second exp,
+        # summed to 1 - 1.4e-12 and failed the normalization check (exit 1)
+        c = 1e5
+        path = write_problem(
+            tmp_path / "offset.json",
+            {
+                "mode": "classical",
+                "prior": [1.0, 1.0, 1.0],
+                "constraints": [{"observable": [c, c + 1.0, c + 2.0], "target": c + 1.5}],
+            },
+        )
+        assert main(["update", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert abs(sum(report["posterior"]) - 1.0) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize(
         "where",

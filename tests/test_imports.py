@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +53,26 @@ def fsum_reference(x) -> float:
 class TestLogSumExp:
     def test_matches_direct_formula_on_moderate_inputs(self):
         x = np.random.default_rng(5).normal(scale=3.0, size=200)
-        assert logsumexp(x) == pytest.approx(float(np.log(np.sum(np.exp(x)))), rel=1e-14)
+        ln_z, _ = logsumexp(x)
+        assert ln_z == pytest.approx(float(np.log(np.sum(np.exp(x)))), rel=1e-14)
+
+    def test_weights_sum_to_one_and_match_the_shifted_formula(self):
+        # the weights are the one exp divided by its own sum, not a second
+        # exp(x - ln Z), whose sum is off by about eps |ln Z|
+        x = np.random.default_rng(5).normal(scale=3.0, size=200)
+        ln_z, w = logsumexp(x)
+        assert abs(float(w.sum()) - 1.0) <= 4 * np.finfo(float).eps
+        np.testing.assert_allclose(w, np.exp(x - ln_z), rtol=1e-14, atol=0)
 
     def test_large_equal_entries_do_not_overflow(self):
-        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(
+        assert logsumexp(np.array([1000.0, 1000.0]))[0] == pytest.approx(
             1000.0 + math.log(2.0), rel=1e-15
         )
 
     @pytest.mark.parametrize("lo, hi", [(-745.0, -5.0), (-2000.0, -700.0), (-60.0, -0.5)])
     def test_wide_negative_range_matches_exact_sum(self, lo, hi):
         x = np.linspace(lo, hi, 1001)
-        assert logsumexp(x) == pytest.approx(fsum_reference(x.tolist()), rel=1e-15)
+        assert logsumexp(x)[0] == pytest.approx(fsum_reference(x.tolist()), rel=1e-15)
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -73,8 +83,17 @@ class TestLogSumExp:
         xl = x.astype(np.longdouble)
         shift = xl.max()
         reference = float(shift + np.log(np.sum(np.exp(xl - shift))))
-        assert logsumexp(x) == pytest.approx(reference, rel=1e-15)
+        assert logsumexp(x)[0] == pytest.approx(reference, rel=1e-15)
 
     def test_non_finite_maximum_passes_through(self):
-        assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
-        assert logsumexp(np.array([0.0, np.inf])) == np.inf
+        assert logsumexp(np.array([-np.inf, -np.inf]))[0] == -np.inf
+        assert logsumexp(np.array([0.0, np.inf]))[0] == np.inf
+
+    @pytest.mark.parametrize("x", [[-np.inf, -np.inf], [0.0, np.inf], [0.0, np.nan]])
+    def test_non_finite_maximum_gives_nan_weights_without_warning(self, x):
+        # a weight vector of the input's length, all NaN, so the means are NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, w = logsumexp(np.array(x))
+        assert w.shape == (2,)
+        assert np.all(np.isnan(w))

@@ -73,6 +73,10 @@ class TestHermitianOperator:
         with pytest.raises(ShapeError):
             HermitianOperator(np.zeros((2, 3)))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ShapeError, match="dimension must be at least 1"):
+            HermitianOperator(np.zeros((0, 0)))
+
     def test_stored_matrix_is_read_only(self):
         op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
@@ -189,6 +193,11 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             partial_trace(np.eye(4), (2, 3), keep=1)
+
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (-2, -2)])
+    def test_non_positive_dims(self, dims):
+        with pytest.raises(ShapeError, match="subsystem dims must be positive"):
+            partial_trace(np.eye(4), dims, keep=1)
 
     def test_bad_keep(self):
         with pytest.raises(ShapeError):

@@ -18,6 +18,8 @@ from qmaxent.quantum import (
 
 LN2 = 0.6931471805599453
 LN_3_OVER_7 = -0.8472978603872037
+# <X> = 1.5 on a uniform {0, 1, 2}: scalar bisection of the dual
+ALPHA_UNIFORM_012 = 0.8341151943524006
 
 
 def random_hermitian(rng, dim):
@@ -41,6 +43,11 @@ class TestDensityMatrix:
 
     def test_tolerates_tiny_negative_drift(self):
         DensityMatrix(np.diag([1.0, -1e-13]), normalized=True)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_zero_trace(self, dim):
+        with pytest.raises(DomainError, match="trace must be positive"):
+            DensityMatrix(np.zeros((dim, dim)))
 
     def test_declared_normalized_must_have_unit_trace(self):
         with pytest.raises(DomainError):
@@ -196,6 +203,12 @@ class TestPosteriorFromMultipliers:
         with pytest.raises(ShapeError):
             posterior_from_multipliers(phi, [HermitianOperator(PAULI_Z)], [0.1, 0.2])
 
+    @pytest.mark.parametrize("entry", [posterior_from_multipliers, log_partition])
+    def test_observable_dimension_mismatch(self, entry):
+        phi = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ShapeError, match="observable dim 3 does not match prior dim 2"):
+            entry(phi, [HermitianOperator(np.eye(3))], [0.1])
+
 
 class TestLogPartition:
     def test_zero_for_normalized_prior(self):
@@ -297,6 +310,17 @@ class TestSolveQuantum:
         with pytest.raises(DomainError):
             solve_quantum(DensityMatrix(np.eye(2)), [])
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_constraint_rejects_non_finite_target(self, target):
+        with pytest.raises(DomainError, match="constraint target must be finite"):
+            QuantumConstraint(np.eye(2), target)
+
+    def test_constraint_dimension_mismatch(self):
+        prior = DensityMatrix(np.eye(2) / 2)
+        constraint = QuantumConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)
+        with pytest.raises(ShapeError, match="constraint 0 has dim 3, prior has dim 2"):
+            solve_quantum(prior, [constraint])
+
     def test_rank_deficient_prior_rejected(self):
         with pytest.raises(DomainError):
             solve_quantum(DensityMatrix(np.diag([1.0, 0.0])), [])
@@ -342,6 +366,20 @@ class TestSolveQuantum:
             assert report.partition_value == np.inf
         assert report.converged
         assert report.multipliers[0] == pytest.approx(np.log(9.0), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [0.0, 1e2, 1e4, 1e5])
+    def test_offset_observable_converges_to_the_unshifted_multiplier(self, c):
+        # the quantum twin of the classical offset regression: diag(0, 1, 2)
+        # + c I on a maximally mixed qutrit has ln Z about c, and its
+        # Gibbs weights are divided by their own sum like the classical ones
+        prior = DensityMatrix(np.eye(3) / 3)
+        observable = HermitianOperator(np.diag([0.0, 1.0, 2.0]) + c * np.eye(3))
+        report = solve_quantum(prior, [QuantumConstraint(observable, c + 1.5)])
+        assert report.converged
+        assert abs(report.multipliers[0] - ALPHA_UNIFORM_012) <= 1e-10
+        eps = np.finfo(float).eps
+        assert abs(float(report.posterior.eigenvalues.sum()) - 1.0) <= 4 * eps
+        assert abs(report.posterior.trace - 1.0) <= 4 * eps
 
     def test_max_iter_exhaustion_reports_not_converged(self):
         prior = DensityMatrix(np.eye(2) / 2)

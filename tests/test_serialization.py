@@ -250,6 +250,10 @@ class TestCanonicalDumps:
         assert canonical_dumps(float("nan")) == "null\n"
         assert canonical_dumps(float("inf")) == "null\n"
 
+    @pytest.mark.parametrize("value, text", [(None, "null\n"), ([None], "[\n  null\n]\n")])
+    def test_none_becomes_null(self, value, text):
+        assert canonical_dumps(value) == text
+
     def test_bool_not_rendered_as_int(self):
         assert canonical_dumps(True) == "true\n"
         assert canonical_dumps({"passed": False}) == '{\n  "passed": false\n}\n'

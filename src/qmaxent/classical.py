@@ -11,15 +11,16 @@ its own sum (logsumexp), so the weights sum to 1 whatever ln Z is. The
 iteration starts at alpha = 0, whose exponent is ln phi itself, so the
 start skips a^T alpha, one of an evaluation's two passes over the block.
 
-Besides its inputs, a solve holds the stacked m x n constraint block,
-one cache-sized (m, cols) buffer and a few length-n vectors. The
-Hessian is added up block by block in that buffer, so no Newton step
-makes an m x n temporary.
+A constraint holds a read-only view of its values, not a copy. A solve
+holds its one stacked copy of them, the m x n constraint block, which it
+checks row by row, plus one cache-sized (m, cols) buffer and a few
+length-n vectors. The Hessian is added up block by block in that
+buffer, so no Newton step makes an m x n temporary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -94,28 +95,29 @@ class ClassicalDistribution:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalConstraint:
-    """Expectation constraint: sum_i rho_i values[i] = target."""
+    """Expectation constraint: sum_i rho_i values[i] = target.
+
+    values is a read-only view of the array given, not a copy: a float64
+    array shares its memory, so later writes to it show through here.
+    solve_classical copies the values into its own stacked block and
+    checks that copy, so a solve uses exactly the values it checked.
+    """
 
     values: np.ndarray
     target: float
-    # (min, max) of the values, which the solver's range check reads
-    _range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        # a view, so that freezing it leaves the caller's array writable
+        arr = np.asarray(self.values, dtype=float).view()
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"constraint values must be a nonempty vector, got shape {arr.shape}")
-        # the extremes are NaN if any value is, and infinite if any value is
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise DomainError("constraint values must be finite")
         if not np.isfinite(self.target):
             raise DomainError("constraint target must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "target", float(self.target))
-        object.__setattr__(self, "_range", (lo, hi))
 
 
 def relative_entropy(
@@ -147,24 +149,25 @@ def _check_problem(
 ) -> tuple[np.ndarray, np.ndarray]:
     if np.any(prior.weights == 0):
         raise DomainError("prior must be strictly positive entrywise")
+    # the solve's one copy of the values; each row is checked after it is
+    # copied, since a constraint's view shows later writes to its array
+    a = np.empty((len(constraints), prior.n))
     for k, c in enumerate(constraints):
         if c.values.size != prior.n:
             raise ShapeError(
                 f"constraint {k} has {c.values.size} values for {prior.n} states"
             )
-        lo, hi = c._range
+        a[k] = c.values
+        # the extremes are NaN if any value is, and infinite if any value is
+        lo, hi = float(a[k].min()), float(a[k].max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise DomainError(f"constraint {k}: values must be finite")
         if not (lo < c.target < hi):
             raise InfeasibleTargetError(
                 f"constraint {k}: target {c.target!r} is not strictly inside "
                 f"({lo!r}, {hi!r})"
             )
-    if constraints:
-        a = np.stack([c.values for c in constraints])
-        t = np.array([c.target for c in constraints])
-    else:
-        a = np.zeros((0, prior.n))
-        t = np.zeros(0)
-    return a, t
+    return a, np.array([c.target for c in constraints], dtype=float)
 
 
 def _covariance(

@@ -58,12 +58,16 @@ def _tanh_over(x: float) -> float:
     return math.tanh(x) / x
 
 
+def _log_ratio(p: SpinProblem) -> float:
+    """ln(a/b), from the two logs: a * b and a / b can leave the float range."""
+    return math.log(p.a) - math.log(p.b)
+
+
 def _bloch_parts(p: SpinProblem, alpha: float) -> tuple[float, float]:
     """(lam, half_gap): exponent is lam*I + w.sigma with |w| = half_gap."""
-    lam = alpha * p.c1 + 0.5 * math.log(p.a * p.b)
-    log_ratio = math.log(p.a / p.b)
+    lam = alpha * p.c1 + 0.5 * (math.log(p.a) + math.log(p.b))
     half_gap = 0.5 * math.sqrt(
-        (2.0 * alpha * p.cz + log_ratio) ** 2
+        (2.0 * alpha * p.cz + _log_ratio(p)) ** 2
         + 4.0 * alpha * alpha * (p.cx * p.cx + p.cy * p.cy)
     )
     return lam, half_gap
@@ -95,7 +99,7 @@ def spin_constraint_value(p: SpinProblem, alpha: float) -> float:
     """F(alpha) = Tr(rho(alpha) A) = d/dalpha ln Z."""
     _, half_gap = _bloch_parts(p, alpha)
     amp2 = p.cx * p.cx + p.cy * p.cy + p.cz * p.cz
-    numerator = 2.0 * alpha * amp2 + p.cz * math.log(p.a / p.b)
+    numerator = 2.0 * alpha * amp2 + p.cz * _log_ratio(p)
     return p.c1 + 0.5 * _tanh_over(half_gap) * numerator
 
 
@@ -103,7 +107,7 @@ def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
     """Posterior (I + t w.sigma)/2 with t = tanh(|w|)/|w|, no eigensolver."""
     wx = alpha * p.cx
     wy = alpha * p.cy
-    wz = alpha * p.cz + 0.5 * math.log(p.a / p.b)
+    wz = alpha * p.cz + 0.5 * _log_ratio(p)
     t = _tanh_over(math.sqrt(wx * wx + wy * wy + wz * wz))
     bx, by, bz = t * wx, t * wy, t * wz
     rho = 0.5 * np.array(
@@ -130,9 +134,10 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     When cx = cy = cz = 0 the constraint value is the constant c1: alpha
     is 0 if the target matches, otherwise no multiplier exists. For a
     nondegenerate observable the attainable targets are exactly the open
-    interval (c1 - |c|, c1 + |c|); the bracket is found by probing the
-    orientation and doubling, then bisected to tol, which must be finite
-    and positive.
+    interval (c1 - |c|, c1 + |c|). F is nondecreasing (its derivative is
+    a variance), so the bracket [lo, hi] with F(lo) < target < F(hi) is
+    found by doubling from [-1, 1], then bisected to tol, which must be
+    finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -150,11 +155,8 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
             f"({p.c1 - amp!r}, {p.c1 + amp!r})"
         )
 
-    # orientation from two probes: F is monotone, so one comparison fixes it
-    sign = 1.0 if spin_constraint_value(p, 1.0) >= spin_constraint_value(p, -1.0) else -1.0
-
-    def value(beta: float) -> float:
-        return spin_constraint_value(p, sign * beta)
+    def value(alpha: float) -> float:
+        return spin_constraint_value(p, alpha)
 
     lo, hi = -1.0, 1.0
     for _ in range(300):
@@ -171,17 +173,17 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
         )
 
     steps = 0
-    beta = 0.5 * (lo + hi)
+    alpha = 0.5 * (lo + hi)
     for _ in range(1000):
-        beta = 0.5 * (lo + hi)
+        alpha = 0.5 * (lo + hi)
         steps += 1
-        r = value(beta) - p.target
+        r = value(alpha) - p.target
         if abs(r) <= tol:
             break
         if r < 0:
-            lo = beta
+            lo = alpha
         else:
-            hi = beta
-        if hi - lo <= 4e-16 * max(1.0, abs(beta)):
+            hi = alpha
+        if hi - lo <= 4e-16 * max(1.0, abs(alpha)):
             break
-    return _report(p, sign * beta, steps, tol)
+    return _report(p, alpha, steps, tol)

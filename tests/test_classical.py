@@ -114,6 +114,17 @@ class TestClassicalConstraint:
         with pytest.raises(error, match=message):
             ClassicalConstraint(values, target)
 
+    def test_values_are_a_read_only_view_that_leaves_the_callers_array_writable(self):
+        # the constraint used to keep its own copy, a second m x n block
+        # next to the one the solve stacks
+        arr = np.array([1.0, 2.0, 3.0])
+        c = ClassicalConstraint(arr, 2.5)
+        assert arr.flags.writeable
+        assert not c.values.flags.writeable
+        assert np.shares_memory(c.values, arr)
+        arr[0] = 0.5
+        assert c.values[0] == 0.5
+
 
 class TestRelativeEntropy:
     def test_zero_at_equal_normalized(self):
@@ -217,6 +228,23 @@ class TestSolveClassical:
             solve_classical(
                 ClassicalDistribution([0.5, 0.5]), [ClassicalConstraint([1.0, 2.0, 3.0], 2.0)]
             )
+
+    def test_nan_written_after_construction_is_rejected_by_the_solve(self):
+        # the constraint is a view of arr; the solve checks the values it
+        # copies, where it used to solve a copy taken at construction
+        arr = np.array([1.0, 2.0, 3.0])
+        c = ClassicalConstraint(arr, 2.5)
+        arr[1] = np.nan
+        with pytest.raises(DomainError, match="constraint 0: values must be finite"):
+            solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
+
+    def test_range_is_taken_from_the_values_at_solve_time(self):
+        arr = np.array([1.0, 2.0, 3.0])
+        c = ClassicalConstraint(arr, 2.5)
+        arr[:] = [0.0, 1.0, 2.0]
+        message = r"constraint 0: target 2\.5 is not strictly inside \(0\.0, 2\.0\)"
+        with pytest.raises(InfeasibleTargetError, match=message):
+            solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
 
     def test_canonical_form(self):
         rng = np.random.default_rng(21)
@@ -534,6 +562,31 @@ def test_peak_memory_stays_within_one_and_three_quarter_constraint_blocks():
     cons = [ClassicalConstraint(a[j], float(a[j] @ rho)) for j in range(m)]
     tracemalloc.start()
     try:
+        report = solve_classical(prior, cons)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 1.75 * a.nbytes
+
+
+def test_constraints_and_solve_together_stay_within_one_and_three_quarter_blocks():
+    # the constraints hold views of the rows of a (nothing), the solve
+    # its one stacked copy (1.0) and a few length-n vectors; constraints
+    # that copied their values made this 2.67 blocks
+    rng = np.random.default_rng(7)
+    n, m = 200_000, 8
+    w = np.exp(0.5 * rng.normal(size=n))
+    a = rng.normal(size=(m, n))
+    beta = rng.normal(scale=0.1, size=m)
+    ln_w = np.log(w) + a.T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    targets = a @ rho
+    prior = ClassicalDistribution(w)
+    tracemalloc.start()
+    try:
+        cons = [ClassicalConstraint(a[j], float(targets[j])) for j in range(m)]
         report = solve_classical(prior, cons)
         _, peak = tracemalloc.get_traced_memory()
     finally:

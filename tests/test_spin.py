@@ -243,6 +243,38 @@ class TestSolveSpin:
             assert report.multipliers[0] == pytest.approx(alpha_true, abs=1e-8)
             assert report.iterations > 0
 
+    def test_saturated_constraint_value_still_brackets_the_multiplier(self):
+        # F(1) = -1.0 and F(-1) = -0.9999999999999999 here: the solve used
+        # to take the orientation from that rounded comparison, searched
+        # the wrong way and raised "failed to bracket a multiplier"
+        p = SpinProblem(a=1e-200, b=1.0, c1=0, cx=0, cy=0, cz=1, target=0.3)
+        report = solve_spin(p)
+        assert report.converged
+        # |alpha error| <= tol / F'(alpha) = 1e-12 / 0.91, plus rounding
+        assert report.multipliers[0] == pytest.approx(
+            math.atanh(0.3) + 100 * math.log(10), abs=2e-12
+        )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1e-200, 1e-200), (1e200, 1e200), (1e200, 1e-200), (1e-200, 1e200)],
+        ids=["product-underflows", "product-overflows", "ratio-overflows", "ratio-underflows"],
+    )
+    def test_prior_weights_whose_product_or_ratio_leaves_the_float_range(self, a, b):
+        # ln(a*b) and ln(a/b) raised ValueError at 0, gave ln Z = inf, or
+        # failed to bracket; ln a +- ln b is finite for every positive a, b
+        p = SpinProblem(a=a, b=b, c1=0, cx=0, cy=0, cz=1, target=0.3)
+        report = solve_spin(p)
+        assert report.converged
+        assert report.multipliers[0] == pytest.approx(
+            math.atanh(0.3) - 0.5 * (math.log(a) - math.log(b)), abs=2e-12
+        )
+        # at the solution |w| = atanh(0.3), so Z = sqrt(ab) 2 cosh|w|
+        assert report.log_partition == pytest.approx(
+            0.5 * (math.log(a) + math.log(b)) + math.log(2 / math.sqrt(1 - 0.3**2)),
+            rel=1e-14, abs=1e-12,
+        )
+
     def test_agrees_with_general_quantum_solver(self):
         rng = np.random.default_rng(57)
         for _ in range(20):

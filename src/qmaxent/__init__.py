@@ -37,9 +37,7 @@ from .linalg import (
     HermitianOperator,
     kron,
     matrix_exp,
-    matrix_function,
     matrix_log,
-    partial_trace,
     trace_product,
 )
 from .quantum import (
@@ -56,7 +54,6 @@ from .spin import (
     SpinProblem,
     solve_spin,
     spin_constraint_value,
-    spin_eigenvalues,
     spin_partition,
     spin_posterior,
 )
@@ -84,9 +81,7 @@ __all__ = [
     "kron",
     "log_partition",
     "matrix_exp",
-    "matrix_function",
     "matrix_log",
-    "partial_trace",
     "posterior_from_multipliers",
     "quantum_relative_entropy",
     "random_classical_prior",
@@ -98,7 +93,6 @@ __all__ = [
     "solve_quantum",
     "solve_spin",
     "spin_constraint_value",
-    "spin_eigenvalues",
     "spin_partition",
     "spin_posterior",
     "trace_product",

@@ -90,6 +90,7 @@ def newton_dual(
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise DomainError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     alpha = np.zeros(len(targets))
+    targets_norm = _norm(targets)
     state, ln_z, grad = start()
     steps = 0
     stop = None
@@ -105,7 +106,7 @@ def newton_dual(
         # or gradient is not finite fails both tests, so a G that
         # overflows in alpha.t is no error
         g0 = ln_z - float(alpha @ targets)
-        noise = ROUNDING * (abs(ln_z) + magnitude(state) + _norm(alpha) * _norm(targets))
+        noise = ROUNDING * (abs(ln_z) + magnitude(state) + _norm(alpha) * targets_norm)
         grad_norm = float(np.linalg.norm(grad))
         for scale in STEP_SCALES:
             cand = alpha + scale * step

@@ -8,7 +8,7 @@ after re-symmetrization.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def matrix_function(
+def _matrix_function(
     operator: HermitianOperator,
     f: Callable[[np.ndarray], np.ndarray],
     domain_guard: float | None = None,
@@ -99,40 +99,18 @@ def matrix_function(
 
 
 def matrix_exp(operator: HermitianOperator) -> HermitianOperator:
-    return matrix_function(operator, np.exp)
+    return _matrix_function(operator, np.exp)
 
 
 def matrix_log(
     operator: HermitianOperator, domain_guard: float = 0.0
 ) -> HermitianOperator:
-    return matrix_function(operator, np.log, domain_guard=domain_guard)
+    return _matrix_function(operator, np.log, domain_guard=domain_guard)
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices."""
     return np.kron(_as_square_array(a), _as_square_array(b))
-
-
-def partial_trace(matrix, dims: Sequence[int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite matrix on C^d1 (x) C^d2.
-
-    keep selects the surviving subsystem: 1 for the first factor,
-    2 for the second. The total trace is preserved by construction.
-    """
-    arr = _as_square_array(matrix)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 < 1 or d2 < 1:
-        raise ShapeError(f"subsystem dims must be positive, got {dims}")
-    if d1 * d2 != arr.shape[0]:
-        raise ShapeError(
-            f"dims {d1}x{d2} do not factor a matrix of dim {arr.shape[0]}"
-        )
-    blocks = arr.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", blocks)
-    if keep == 2:
-        return np.einsum("ikil->kl", blocks)
-    raise ShapeError(f"keep must be 1 or 2, got {keep}")
 
 
 def trace_product(a, b) -> float:

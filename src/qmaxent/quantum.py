@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import newton_dual
+from .dual import _norm, newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
@@ -44,53 +44,50 @@ BRACKET_SLACK = 4.0
 class DensityMatrix:
     """A positive semidefinite Hermitian matrix with positive trace.
 
-    Its one eigendecomposition, at construction, gives the read-only
-    ascending eigenvalues and orthonormal eigenvector columns that the
-    PSD, trace and full-rank checks, ln phi and the relative entropy read.
+    It holds its read-only matrix and that matrix's one eigendecomposition,
+    taken at construction: the ascending eigenvalues and orthonormal
+    eigenvector columns that the checks, ln phi and the relative entropy read.
     """
 
     def __init__(self, matrix, normalized: bool | None = None):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
-        self._setup(op, *np.linalg.eigh(op.matrix), normalized)
+        self._setup(op.matrix, *np.linalg.eigh(op.matrix), normalized)
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityMatrix":
-        """The normalized state matrix = V diag(eigenvalues) V^dag, with no new decomposition."""
+        """The normalized, exactly Hermitian state V diag(eigenvalues) V^dag, kept as is."""
         state = cls.__new__(cls)
-        state._setup(HermitianOperator(matrix), eigenvalues, eigenvectors, True)
+        state._setup(matrix, eigenvalues, eigenvectors, True)
         return state
 
-    def _setup(self, op, eigenvalues, eigenvectors, normalized) -> None:
-        if eigenvalues[0] < PSD_EIG_TOL:
+    def _setup(self, matrix, eigenvalues, eigenvectors, normalized) -> None:
+        # not >=, so that a NaN spectrum is rejected too
+        if not eigenvalues[0] >= PSD_EIG_TOL:
             raise DomainError(
                 f"matrix is not positive semidefinite: smallest eigenvalue "
                 f"{eigenvalues[0]:.3e}"
             )
-        trace = float(np.trace(op.matrix).real)
+        trace = float(np.trace(matrix).real)
         if trace <= 0:
             raise DomainError("trace must be positive")
         if normalized is None:
             normalized = abs(trace - 1.0) <= TRACE_TOL
         elif normalized and abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"declared normalized but trace is {trace!r}")
-        self.op = op
+        self.matrix = matrix
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
-        eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
+        for arr in (matrix, eigenvalues, eigenvectors):
+            arr.setflags(write=False)
         self.trace = trace
         self.normalized = bool(normalized)
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.matrix.shape[0]
 
     def is_full_rank(self) -> bool:
-        return float(self.eigenvalues[0]) > FULL_RANK_EIG
+        return float(self.eigenvalues[0]) > FULL_RANK_EIG * self.trace
 
     def normalize(self) -> "DensityMatrix":
         if self.normalized:
@@ -122,14 +119,14 @@ class QuantumConstraint:
 
 def expectation(rho: DensityMatrix, observable: HermitianOperator) -> float:
     """Tr(rho A), real for Hermitian operands."""
-    return trace_product(rho.op, observable)
+    return trace_product(rho.matrix, observable)
 
 
 def _require_full_rank(phi: DensityMatrix, role: str) -> None:
     if not phi.is_full_rank():
         raise DomainError(
             f"{role} must be full rank: smallest eigenvalue "
-            f"{float(phi.eigenvalues[0]):.3e} is not above {FULL_RANK_EIG:.0e}"
+            f"{float(phi.eigenvalues[0]):.3e} is not above {FULL_RANK_EIG:.0e} times the trace"
         )
 
 
@@ -156,7 +153,7 @@ def quantum_relative_entropy(
     vals = rho.eigenvalues
     positive = vals[vals > 0]
     tr_rho_ln_rho = float(np.sum(positive * np.log(positive)))
-    tr_rho_ln_phi = trace_product(rho.op, _log(phi))
+    tr_rho_ln_phi = trace_product(rho.matrix, _log(phi))
     umegaki = -(tr_rho_ln_rho - tr_rho_ln_phi)
     if variant == "umegaki":
         return umegaki
@@ -295,7 +292,7 @@ def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
     diag = a.diagonal().real
     mid = (diag[:, None] + diag[None, :]) / 2.0
     radius = np.abs(a)
-    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * float(np.linalg.norm(radius))
+    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * _norm(radius)
     # |A_jj| is no radius: e_j alone gives A_jj
     np.fill_diagonal(radius, 0.0)
     return float((mid - radius).min()) + slack, float((mid + radius).max()) - slack

@@ -13,9 +13,9 @@ class SolverReport:
     """Outcome of a constrained update.
 
     posterior is a ClassicalDistribution or a DensityMatrix depending on
-    the solver. log_partition is ln Z, the stable form, and is what gets
-    serialized; partition_value is derived from it. converged means the
-    residual max norm met the requested tolerance.
+    the solver. log_partition is ln Z, which stays finite where Z
+    overflows. converged means the residual max norm met the requested
+    tolerance.
     """
 
     multipliers: np.ndarray
@@ -24,12 +24,6 @@ class SolverReport:
     residuals: np.ndarray
     iterations: int
     converged: bool
-
-    @property
-    def partition_value(self) -> float:
-        """Z = exp(log_partition), inf where Z exceeds the float range."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_partition))
 
     @property
     def max_residual(self) -> float:

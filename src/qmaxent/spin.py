@@ -73,12 +73,6 @@ def _bloch_parts(p: SpinProblem, alpha: float) -> tuple[float, float]:
     return lam, half_gap
 
 
-def spin_eigenvalues(p: SpinProblem, alpha: float) -> tuple[float, float]:
-    """(lambda_plus, lambda_minus) of alpha*A + ln phi."""
-    lam, half_gap = _bloch_parts(p, alpha)
-    return lam + half_gap, lam - half_gap
-
-
 def spin_partition(p: SpinProblem, alpha: float) -> float:
     """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh(half_gap).
 

@@ -97,7 +97,7 @@ def test_classical_canonical_form():
         constraints = [ClassicalConstraint(v, t) for v, t in zip(values, targets)]
         report = solve_classical(prior, constraints, tol=1e-12)
         assert report.converged
-        lhs = report.posterior.weights * report.partition_value / prior.weights
+        lhs = report.posterior.weights * np.exp(report.log_partition) / prior.weights
         rhs = np.exp(values.T @ report.multipliers)
         worst = max(worst, float(np.max(np.abs(lhs / rhs - 1.0))))
     report_line("canonical posterior form (relative)", worst, 1e-9)

@@ -319,18 +319,19 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert report["log_partition"] == pytest.approx(461.25732111910474, rel=1e-14)
 
-    def test_spin_file_with_tiny_prior_weights_reports_an_error_line(self, tmp_path, capsys):
+    def test_spin_file_with_tiny_prior_weights_exits_ok(self, tmp_path, capsys):
         # a * b underflowed to 0 and ln(a*b) raised a ValueError traceback;
-        # the solve now succeeds and the entropy's full-rank check of the
-        # prior diag(1e-200, 1e-200) reports the error
+        # then the entropy's full-rank check compared the smallest eigenvalue
+        # 1e-200 of the prior with an absolute 1e-12 and exited 1
         path = write_problem(
             tmp_path / "spin.json",
             {"mode": "spin", "a": 1e-200, "b": 1e-200, "c": [0.0, 0.0, 0.0, 1.0], "target": 0.3},
         )
-        assert main(["update", path]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: phi must be full rank")
+        assert main(["update", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert report["multipliers"][0] == pytest.approx(math.atanh(0.3), rel=1e-12)
+        assert report["log_partition"] == pytest.approx(-459.77671607851357, rel=1e-14)
 
     def test_offset_classical_observable_exits_ok(self, tmp_path, capsys):
         # ln Z ~ 1e5: the posterior weights used to come from a second exp,

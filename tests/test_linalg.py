@@ -10,9 +10,7 @@ from qmaxent.linalg import (
     PAULI_Z,
     kron,
     matrix_exp,
-    matrix_function,
     matrix_log,
-    partial_trace,
     trace_product,
 )
 
@@ -22,23 +20,6 @@ LN2 = 0.6931471805599453
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((g + g.conj().T) / 2)
-
-
-def naive_partial_trace(c, d1, d2, keep):
-    """Index-summation oracle, no reshaping tricks."""
-    if keep == 1:
-        out = np.zeros((d1, d1), dtype=complex)
-        for i in range(d1):
-            for j in range(d1):
-                for k in range(d2):
-                    out[i, j] += c[i * d2 + k, j * d2 + k]
-    else:
-        out = np.zeros((d2, d2), dtype=complex)
-        for k in range(d2):
-            for l in range(d2):
-                for i in range(d1):
-                    out[k, l] += c[i * d2 + k, i * d2 + l]
-    return out
 
 
 def naive_trace_product(a, b):
@@ -104,7 +85,7 @@ class TestMatrixFunctions:
 
     def test_custom_guard(self):
         with pytest.raises(DomainError):
-            matrix_function(HermitianOperator(np.diag([1.0, 1e-13])), np.log, domain_guard=1e-12)
+            matrix_log(HermitianOperator(np.diag([1.0, 1e-13])), domain_guard=1e-12)
 
     def test_log_tensor_identity(self):
         # ln(rho (x) 1) = ln(rho) (x) 1
@@ -146,64 +127,6 @@ class TestKron:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-class TestPartialTrace:
-    def test_identity_halves(self):
-        out = partial_trace(np.eye(4) / 4, (2, 2), keep=1)
-        np.testing.assert_allclose(out, np.eye(2) / 2)
-
-    def test_product_state_factors(self):
-        rng = np.random.default_rng(9)
-        a = random_hermitian(rng, 2).matrix
-        b = random_hermitian(rng, 3).matrix
-        joint = kron(a, b)
-        np.testing.assert_allclose(partial_trace(joint, (2, 3), keep=1), a * np.trace(b), atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, (2, 3), keep=2), b * np.trace(a), atol=1e-12)
-
-    def test_bell_projector_marginal(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        proj = np.outer(bell, bell.conj())
-        for keep in (1, 2):
-            np.testing.assert_allclose(partial_trace(proj, (2, 2), keep), np.eye(2) / 2, atol=1e-15)
-            np.testing.assert_allclose(
-                partial_trace(proj, (2, 2), keep), naive_partial_trace(proj, 2, 2, keep), atol=1e-15
-            )
-
-    def test_against_naive_oracle(self):
-        rng = np.random.default_rng(10)
-        for d1, d2 in ((2, 2), (2, 3), (3, 2), (4, 2)):
-            c = rng.normal(size=(d1 * d2, d1 * d2)) + 1j * rng.normal(size=(d1 * d2, d1 * d2))
-            for keep in (1, 2):
-                np.testing.assert_allclose(
-                    partial_trace(c, (d1, d2), keep), naive_partial_trace(c, d1, d2, keep), atol=1e-12
-                )
-
-    def test_preserves_trace_and_linearity(self):
-        rng = np.random.default_rng(11)
-        c = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        d = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        out = partial_trace(c, (2, 3), keep=2)
-        np.testing.assert_allclose(np.trace(out), np.trace(c), atol=1e-12)
-        np.testing.assert_allclose(
-            partial_trace(c + 2 * d, (2, 3), keep=1),
-            partial_trace(c, (2, 3), keep=1) + 2 * partial_trace(d, (2, 3), keep=1),
-            atol=1e-12,
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), (2, 3), keep=1)
-
-    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (-2, -2)])
-    def test_non_positive_dims(self, dims):
-        with pytest.raises(ShapeError, match="subsystem dims must be positive"):
-            partial_trace(np.eye(4), dims, keep=1)
-
-    def test_bad_keep(self):
-        with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), (2, 2), keep=0)
-
-
 class TestTraceProduct:
     def test_identity_pair(self):
         assert trace_product(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(2))) == pytest.approx(2.0)
@@ -238,7 +161,7 @@ class TestTraceProduct:
         rng = np.random.default_rng(0)
         h = random_hermitian(rng, 32).matrix
         rho = random_density_matrix(rng, 32, 0.3)
-        value = trace_product(rho.op, HermitianOperator(1e7 * h))
+        value = trace_product(rho.matrix, HermitianOperator(1e7 * h))
         assert value == pytest.approx(1e7 * np.sum(rho.matrix * h.T).real, rel=1e-12)
 
 

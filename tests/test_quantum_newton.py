@@ -1,8 +1,10 @@
 """The quantum Newton loop: exact BKM Hessian, eigendecomposition budget, stall certificate."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmaxent.errors import DomainError, InfeasibleTargetError
@@ -256,14 +258,28 @@ def hermitian_matrices(draw):
     return (a + a.conj().T) / 2.0
 
 
+# the slack |A|_F squared these entries to 0, so the bracket was exactly
+# (-x, x), outside eigvalsh's +-8.555204611196906e-163
+TINY = 8.555204611196907e-163
+
+
 class TestRayleighBracket:
     @settings(max_examples=300, deadline=None)
     @given(hermitian_matrices())
+    @example(np.array([[0, -1j * TINY], [1j * TINY, 0]]))
     def test_bracket_lies_inside_spectral_range(self, a):
         lo, hi = _rayleigh_bracket(a)
         spec = np.linalg.eigvalsh(a)
         assert spec[0] <= lo
         assert hi <= spec[-1]
+
+    def test_huge_observable_is_checked_without_overflow(self):
+        # the slack squared entries near 1e200 for |A|_F and warned of overflow
+        observable = HermitianOperator(1e200 * np.array([[1.0, 0.5], [0.5, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError, match="spectral range"):
+                solve_quantum(DensityMatrix(np.eye(2) / 2), [QuantumConstraint(observable, 2e200)])
 
     @pytest.mark.parametrize("target", [1.0, -1.0])
     def test_target_at_diagonal_extreme_is_infeasible(self, target):

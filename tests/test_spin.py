@@ -18,12 +18,10 @@ from qmaxent.spin import (
     _tanh_over,
     solve_spin,
     spin_constraint_value,
-    spin_eigenvalues,
     spin_partition,
     spin_posterior,
 )
 
-LN2 = 0.6931471805599453
 ARTANH_04 = 0.42364893019360184
 
 
@@ -66,29 +64,6 @@ class TestTanhOver:
     def test_tiny_arguments(self):
         assert _tanh_over(1e-14) == pytest.approx(1.0, abs=1e-12)
         assert _tanh_over(-1e-9) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSpinEigenvalues:
-    def test_uniform_prior_zero_multiplier(self):
-        p = SpinProblem(a=0.5, b=0.5, c1=0, cx=0, cy=0, cz=1, target=0.0)
-        plus, minus = spin_eigenvalues(p, 0.0)
-        assert plus == pytest.approx(-LN2)
-        assert minus == pytest.approx(-LN2)
-
-    def test_zero_multiplier_general_prior(self):
-        p = SpinProblem(a=0.7, b=0.2, c1=0, cx=1, cy=0, cz=0, target=0.0)
-        plus, minus = spin_eigenvalues(p, 0.0)
-        assert plus == pytest.approx(math.log(0.7))
-        assert minus == pytest.approx(math.log(0.2))
-
-    def test_matches_eigensolver(self):
-        rng = np.random.default_rng(51)
-        for _ in range(50):
-            p = random_problem(rng)
-            alpha = float(rng.normal())
-            plus, minus = spin_eigenvalues(p, alpha)
-            spectrum = np.linalg.eigvalsh(exponent_operator(p, alpha).matrix)
-            np.testing.assert_allclose([minus, plus], spectrum, atol=1e-10)
 
 
 class TestSpinPartition:

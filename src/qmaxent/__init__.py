@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     HermitianOperator,
-    kron,
     matrix_exp,
     matrix_log,
     trace_product,
@@ -78,7 +77,6 @@ __all__ = [
     "check_subsystem_independence",
     "check_zero_multiplier",
     "expectation",
-    "kron",
     "log_partition",
     "matrix_exp",
     "matrix_log",

@@ -21,7 +21,7 @@ from .classical import (
     solve_classical,
 )
 from .errors import DomainError, ShapeError
-from .linalg import HermitianOperator, kron, matrix_exp
+from .linalg import HermitianOperator, matrix_exp
 from .quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -98,15 +98,15 @@ def check_subsystem_independence(
     i1 = np.eye(p1.dim, dtype=complex)
     i2 = np.eye(p2.dim, dtype=complex)
     embedded = [
-        QuantumConstraint(HermitianOperator(kron(c.observable.matrix, i2)), c.target)
+        QuantumConstraint(HermitianOperator(np.kron(c.observable.matrix, i2)), c.target)
         for c in constraints1
     ] + [
-        QuantumConstraint(HermitianOperator(kron(i1, c.observable.matrix)), c.target)
+        QuantumConstraint(HermitianOperator(np.kron(i1, c.observable.matrix)), c.target)
         for c in constraints2
     ]
-    joint_prior = DensityMatrix(kron(p1.matrix, p2.matrix))
+    joint_prior = DensityMatrix(np.kron(p1.matrix, p2.matrix))
     joint = solve_quantum(joint_prior, embedded, tol=SOLVE_TOL)
-    product = kron(r1.posterior.matrix, r2.posterior.matrix)
+    product = np.kron(r1.posterior.matrix, r2.posterior.matrix)
     deviation = float(np.max(np.abs(joint.posterior.matrix - product)))
     return PropertyResult("subsystem_independence", deviation, SUBSYSTEM_TOL)
 
@@ -126,12 +126,12 @@ def check_commuting_reduction(
     weights = np.asarray(prior_diagonal, dtype=float)
     weights = weights / weights.sum()
     targets = np.asarray(targets, dtype=float)
-    c_prior = ClassicalDistribution(weights, normalized=True)
+    c_prior = ClassicalDistribution(weights)
     c_constraints = [
         ClassicalConstraint(np.asarray(v, dtype=float), t)
         for v, t in zip(observable_diagonals, targets)
     ]
-    q_prior = DensityMatrix(np.diag(weights).astype(complex), normalized=True)
+    q_prior = DensityMatrix(np.diag(weights).astype(complex))
     q_constraints = [
         QuantumConstraint(HermitianOperator(np.diag(np.asarray(v, dtype=float))), t)
         for v, t in zip(observable_diagonals, targets)
@@ -179,12 +179,12 @@ def check_log_tensor_additivity(
     All four states must be full rank so both logs exist.
     """
     lhs = _log_gap(
-        DensityMatrix(kron(rho1.matrix, rho2.matrix)),
-        DensityMatrix(kron(phi1.matrix, phi2.matrix)),
+        DensityMatrix(np.kron(rho1.matrix, rho2.matrix)),
+        DensityMatrix(np.kron(phi1.matrix, phi2.matrix)),
     )
     i1 = np.eye(rho1.dim, dtype=complex)
     i2 = np.eye(rho2.dim, dtype=complex)
-    rhs = kron(_log_gap(rho1, phi1), i2) + kron(i1, _log_gap(rho2, phi2))
+    rhs = np.kron(_log_gap(rho1, phi1), i2) + np.kron(i1, _log_gap(rho2, phi2))
     deviation = float(np.max(np.abs(lhs - rhs)))
     return PropertyResult("log_tensor_additivity", deviation, LOG_TENSOR_TOL)
 
@@ -222,20 +222,20 @@ def check_subdomain_independence(
     return PropertyResult("subdomain_independence", deviation, SUBDOMAIN_TOL)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (g + g.conj().T) / 2.0)
+    return HermitianOperator((g + g.conj().T) / 2.0)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int, scale: float = 1.0) -> DensityMatrix:
+def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Normalized exp of a random Hermitian matrix; always full rank."""
-    rho = matrix_exp(random_hermitian(rng, dim, scale)).matrix
-    return DensityMatrix(rho / np.trace(rho).real, normalized=True)
+    rho = matrix_exp(random_hermitian(rng, dim)).matrix
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def random_classical_prior(rng: np.random.Generator, n: int) -> ClassicalDistribution:
     w = np.exp(rng.normal(size=n))
-    return ClassicalDistribution(w / w.sum(), normalized=True)
+    return ClassicalDistribution(w / w.sum())
 
 
 def _classical_realizable_targets(
@@ -279,7 +279,7 @@ def run_all_checks(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> li
         for p in (p1, p2):
             obs = random_hermitian(rng, 2)
             beta = float(rng.normal(scale=0.8))
-            reference, _ = posterior_from_multipliers(p, [obs], [beta])
+            reference = posterior_from_multipliers(p, [obs], [beta])
             factor_constraints.append([QuantumConstraint(obs, expectation(reference, obs))])
         record(check_subsystem_independence(p1, p2, factor_constraints[0], factor_constraints[1]))
 

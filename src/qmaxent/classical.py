@@ -57,7 +57,7 @@ def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
 class ClassicalDistribution:
     """Nonnegative weights over a finite ordered set of states."""
 
-    def __init__(self, weights, normalized: bool | None = None):
+    def __init__(self, weights):
         arr = np.asarray(weights, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"weights must be a nonempty vector, got shape {arr.shape}")
@@ -68,13 +68,9 @@ class ClassicalDistribution:
         total = float(arr.sum())
         if total <= 0:
             raise DomainError("total weight must be positive")
-        if normalized is None:
-            normalized = abs(total - 1.0) <= 1e-12
-        elif normalized and abs(total - 1.0) > 1e-12:
-            raise DomainError(f"declared normalized but total weight is {total!r}")
         self.weights = arr.copy()
         self.weights.setflags(write=False)
-        self.normalized = bool(normalized)
+        self.normalized = abs(total - 1.0) <= 1e-12
 
     @property
     def n(self) -> int:
@@ -87,7 +83,7 @@ class ClassicalDistribution:
     def normalize(self) -> "ClassicalDistribution":
         if self.normalized:
             return self
-        return ClassicalDistribution(self.weights / self.total, normalized=True)
+        return ClassicalDistribution(self.weights / self.total)
 
     def __repr__(self) -> str:
         return f"ClassicalDistribution(n={self.n}, normalized={self.normalized})"
@@ -204,10 +200,9 @@ def solve_classical(
     Targets must be strictly inside the range of their observable values;
     boundary or exterior targets raise InfeasibleTargetError. So does a
     jointly infeasible target set once the Newton iteration stops short
-    of convergence and a certificate proves it (qmaxent.dual): an exact
-    linear dependency of the observables that the targets contradict, or
-    the direction alpha/|alpha| separating the targets from every state.
-    Without a certificate the report says converged=False.
+    of convergence and a direction separating the targets from every
+    state certifies it (qmaxent.dual). Without a certificate the report
+    says converged=False.
     """
     constraints = list(constraints)
     a, t = _check_problem(prior, constraints)
@@ -246,5 +241,5 @@ def solve_classical(
         # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
         lambda state: 0.0,
         lambda d: d @ a,
-        lambda state: ClassicalDistribution(state[0], normalized=True), tol, max_iter,
+        lambda state: ClassicalDistribution(state[0]), tol, max_iter,
     )

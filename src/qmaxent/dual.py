@@ -17,7 +17,6 @@ from .errors import DomainError, InfeasibleTargetError
 from .report import SolverReport
 
 RCOND = 1e-12
-DEPENDENCY_RTOL = 1e-12
 ARMIJO = 1e-4
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
 STEP_SCALES = 0.5 ** np.arange(40)
@@ -124,7 +123,7 @@ def newton_dual(
         alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
         steps += 1
     if stop:
-        _certify(null, grad, alpha, spectrum, targets, tol, stop)
+        _certify(null, alpha, spectrum, targets, tol, stop)
     return SolverReport(
         multipliers=alpha,
         log_partition=ln_z,
@@ -137,55 +136,38 @@ def newton_dual(
 
 def _certify(
     null: np.ndarray,
-    grad: np.ndarray,
     alpha: np.ndarray,
     spectrum: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
     tol: float,
     stop: str,
 ) -> None:
-    """Raise InfeasibleTargetError if a certificate proves the targets jointly unreachable.
+    """Raise InfeasibleTargetError if a direction d separates the targets from every state.
 
-    Both certificates are sound, so neither fires on a feasible problem,
-    and both are relative, so the decision does not depend on the units
-    of the observables. stop says why the iteration ended.
+    For a unit d every state has sum_i d_i <A_i> <= max spectrum(d), so
+    d.t - max spectrum(d) above a margin is a Farkas certificate that no
+    state meets the targets. It is sound along any d and depends only on
+    d's direction, so the decision does not depend on the units of the
+    observables. stop says why the iteration ended.
 
-    Dependency: candidates are the rows d of null, the unit Hessian null
-    directions that the step's SVD dropped. When the spectrum of sum_i
-    d_i A_i spans at most DEPENDENCY_RTOL of sum_i |d_i| norm(A_i), with
-    norm the largest absolute eigenvalue, sum_i d_i A_i is a constant c
-    to rounding: the sum may cancel to noise, so its own size is no
-    yardstick. Then every state has sum_i d_i <A_i> = c, and the residual
-    component d.grad = c - d.t is the same at every alpha. If it exceeds
-    tol, no state meets the targets.
-
-    Separation (Farkas): with d = alpha / |alpha|, every state has
-    sum_i d_i <A_i> <= max spectrum(d); if that bound lies below d.t, no
-    state meets the targets. Only the direction of alpha matters.
+    The candidates are alpha/|alpha|, with margin 0, and either sign of
+    each row of null, the unit Hessian null directions that the step's SVD
+    dropped, with margin tol. Where sum_i d_i A_i is a constant c, every
+    state has sum_i d_i <A_i> = c, spectrum(d) is that one point, and the
+    tests along d and -d together are |d.grad| = |c - d.t| > tol: targets
+    that contradict the dependency by more than tol. Targets that meet it
+    exactly put d.t on c, where rounding can leave spectrum(d) on either
+    side of d.t, so a margin of 0 would certify some feasible problems.
     """
-    if len(null):
-        norms = np.array([np.abs(spectrum(e)).max() for e in np.eye(null.shape[1])])
-    for d in null:
-        spec = spectrum(d)
-        if float(spec.max() - spec.min()) > DEPENDENCY_RTOL * float(np.abs(d) @ norms):
-            continue
-        miss = float(d @ grad)
-        if abs(miss) > tol:
-            raise InfeasibleTargetError(
-                f"along d = {np.array2string(d, precision=6)} the observables combine "
-                f"to a constant, so sum_i d_i <A_i> is the same for every state, but "
-                f"the targets miss it by {miss!r}: they contradict an exact linear "
-                f"dependency and are jointly infeasible"
-            )
     norm = _norm(alpha)
-    if norm == 0.0:
-        return
-    d = alpha / norm
-    top = float(spectrum(d).max())
-    bound = float(d @ targets)
-    if top < bound:
-        raise InfeasibleTargetError(
-            f"{stop} at |alpha| = {norm:.3e}; along d = alpha/|alpha| every state has "
-            f"sum_i d_i <A_i> <= {top!r} < d.t = {bound!r}, a Farkas certificate that "
-            f"no state meets the targets: they are jointly infeasible"
-        )
+    candidates = [(alpha / norm, 0.0)] if norm > 0 else []
+    candidates += [(d, tol) for d in np.concatenate([null, -null])]
+    for d, margin in candidates:
+        top = float(spectrum(d).max())
+        bound = float(d @ targets)
+        if bound - top > margin:
+            raise InfeasibleTargetError(
+                f"{stop} at |alpha| = {norm:.3e}; along d = {np.array2string(d, precision=6)} "
+                f"every state has sum_i d_i <A_i> <= {top!r} < d.t = {bound!r}, a Farkas "
+                f"certificate that no state meets the targets: they are jointly infeasible"
+            )

@@ -8,8 +8,6 @@ after re-symmetrization.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -78,39 +76,17 @@ def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _matrix_function(
-    operator: HermitianOperator,
-    f: Callable[[np.ndarray], np.ndarray],
-    domain_guard: float | None = None,
-) -> HermitianOperator:
-    """Apply a real scalar function to a Hermitian operator spectrally.
-
-    f maps the array of eigenvalues elementwise, as a numpy ufunc does.
-    With a domain_guard, every eigenvalue must exceed it; otherwise the
-    offending eigenvalue is reported and no value is returned.
-    """
-    vals, vecs = np.linalg.eigh(operator.matrix)
-    if domain_guard is not None and vals[0] <= domain_guard:
-        raise DomainError(
-            f"eigenvalue {float(vals[0]):.6e} is not above the domain guard "
-            f"{domain_guard:.6e}"
-        )
-    return HermitianOperator(_spectral_matrix(vecs, np.asarray(f(vals), dtype=float)))
-
-
 def matrix_exp(operator: HermitianOperator) -> HermitianOperator:
-    return _matrix_function(operator, np.exp)
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
 
 
-def matrix_log(
-    operator: HermitianOperator, domain_guard: float = 0.0
-) -> HermitianOperator:
-    return _matrix_function(operator, np.log, domain_guard=domain_guard)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(_as_square_array(a), _as_square_array(b))
+def matrix_log(operator: HermitianOperator) -> HermitianOperator:
+    """ln A for positive definite A; an eigenvalue <= 0 is reported and no value is returned."""
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    if vals[0] <= 0.0:
+        raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")
+    return HermitianOperator(_spectral_matrix(vecs, np.log(vals)))
 
 
 def trace_product(a, b) -> float:

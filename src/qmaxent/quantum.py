@@ -49,18 +49,18 @@ class DensityMatrix:
     eigenvector columns that the checks, ln phi and the relative entropy read.
     """
 
-    def __init__(self, matrix, normalized: bool | None = None):
+    def __init__(self, matrix):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
-        self._setup(op.matrix, *np.linalg.eigh(op.matrix), normalized)
+        self._setup(op.matrix, *np.linalg.eigh(op.matrix))
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityMatrix":
         """The normalized, exactly Hermitian state V diag(eigenvalues) V^dag, kept as is."""
         state = cls.__new__(cls)
-        state._setup(matrix, eigenvalues, eigenvectors, True)
+        state._setup(matrix, eigenvalues, eigenvectors)
         return state
 
-    def _setup(self, matrix, eigenvalues, eigenvectors, normalized) -> None:
+    def _setup(self, matrix, eigenvalues, eigenvectors) -> None:
         # not >=, so that a NaN spectrum is rejected too
         if not eigenvalues[0] >= PSD_EIG_TOL:
             raise DomainError(
@@ -70,17 +70,13 @@ class DensityMatrix:
         trace = float(np.trace(matrix).real)
         if trace <= 0:
             raise DomainError("trace must be positive")
-        if normalized is None:
-            normalized = abs(trace - 1.0) <= TRACE_TOL
-        elif normalized and abs(trace - 1.0) > TRACE_TOL:
-            raise DomainError(f"declared normalized but trace is {trace!r}")
         self.matrix = matrix
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         for arr in (matrix, eigenvalues, eigenvectors):
             arr.setflags(write=False)
         self.trace = trace
-        self.normalized = bool(normalized)
+        self.normalized = abs(trace - 1.0) <= TRACE_TOL
 
     @property
     def dim(self) -> int:
@@ -190,7 +186,9 @@ class _GibbsState(NamedTuple):
 
 def _gibbs(vals: np.ndarray, vecs: np.ndarray) -> _GibbsState:
     """The Gibbs state of C = V diag(vals) V^dag, vals ascending, shifted against overflow."""
-    p = vals - vals[-1]
+    # a shifted eigenvalue that overflows to -inf has weight 0, as it should
+    with np.errstate(over="ignore"):
+        p = vals - vals[-1]
     np.exp(p, out=p)
     total = float(p.sum())
     p /= total
@@ -206,6 +204,12 @@ def _gibbs_at(
     if len(observables) != len(alphas):
         raise ShapeError(
             f"{len(observables)} observables but {len(alphas)} multipliers"
+        )
+    bad = np.flatnonzero(~np.isfinite(alphas))
+    if len(bad):
+        raise DomainError(
+            "multipliers must be finite, got "
+            + ", ".join(f"alpha[{i}] = {float(alphas[i])!r}" for i in bad)
         )
     for obs in observables:
         if obs.dim != phi.dim:
@@ -257,15 +261,9 @@ def posterior_from_multipliers(
     phi: DensityMatrix,
     observables: Sequence[HermitianOperator],
     alphas,
-) -> tuple[DensityMatrix, float]:
-    """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z and Z.
-
-    Z is inf where it exceeds the float range; log_partition gives ln Z.
-    """
-    state = _gibbs_at(phi, observables, alphas)
-    with np.errstate(over="ignore"):
-        z = float(np.exp(state.ln_z))
-    return state.posterior(), z
+) -> DensityMatrix:
+    """Canonical posterior exp(sum_i alpha_i A_i + ln phi)/Z; log_partition gives ln Z."""
+    return _gibbs_at(phi, observables, alphas).posterior()
 
 
 def log_partition(
@@ -328,11 +326,9 @@ def solve_quantum(
     The prior must be full rank and normalized. Targets must lie strictly
     inside each observable's spectral range. A jointly infeasible target
     set raises InfeasibleTargetError once the Newton iteration stops
-    short of convergence and a certificate proves it (qmaxent.dual): an
-    exact linear dependency of the observables that the targets
-    contradict, or the direction alpha/|alpha| separating the targets
-    from every state. Without a certificate the report says
-    converged=False.
+    short of convergence and a direction separating the targets from
+    every state certifies it (qmaxent.dual). Without a certificate the
+    report says converged=False.
     """
     _require_full_rank(prior, "prior")
     if not prior.normalized:

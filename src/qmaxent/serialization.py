@@ -197,13 +197,13 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def canonical_dumps(value, indent: int = 2) -> str:
-    """Deterministic JSON text: 17-significant-digit floats, stable keys."""
+def canonical_dumps(value) -> str:
+    """Deterministic JSON text: 17-significant-digit floats, stable keys, two-space indent."""
     pieces: list[str] = []
 
     def emit(node, depth: int) -> None:
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        inner = pad + "  "
         if node is None:
             pieces.append("null")
         elif isinstance(node, bool):

@@ -107,7 +107,7 @@ def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
     rho = 0.5 * np.array(
         [[1.0 + bz, bx - 1j * by], [bx + 1j * by, 1.0 - bz]], dtype=complex
     )
-    return DensityMatrix(rho, normalized=True)
+    return DensityMatrix(rho)
 
 
 def _report(p: SpinProblem, alpha: float, steps: int, tol: float) -> SolverReport:

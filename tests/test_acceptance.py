@@ -21,7 +21,7 @@ from qmaxent.checks import (
 )
 from qmaxent.classical import ClassicalConstraint, solve_classical
 from qmaxent.cli import main
-from qmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, HermitianOperator, kron
+from qmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, HermitianOperator
 from qmaxent.quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -146,7 +146,7 @@ def test_spin_constraint_map_monotone():
 
 
 def test_two_level_gibbs_state():
-    prior = DensityMatrix(np.eye(2, dtype=complex) / 2, normalized=True)
+    prior = DensityMatrix(np.eye(2, dtype=complex) / 2)
     constraint = QuantumConstraint(HermitianOperator(np.diag([0.0, 1.0])), 0.3)
     report = solve_quantum(prior, [constraint], tol=1e-12)
     assert report.converged
@@ -166,7 +166,7 @@ def test_log_partition_gradient():
         prior = random_density_matrix(rng, dim)
         observables = [random_hermitian(rng, dim) for _ in range(2)]
         alpha = rng.normal(scale=0.5, size=2)
-        state, _ = posterior_from_multipliers(prior, observables, alpha)
+        state = posterior_from_multipliers(prior, observables, alpha)
         for i, obs in enumerate(observables):
             analytic = expectation(state, obs)
             bumped = alpha.copy()
@@ -191,24 +191,24 @@ def test_product_posterior_complete_bases():
             prior = random_density_matrix(rng, 2)
             basis = [HermitianOperator(p) for p in paulis]
             beta = rng.normal(scale=0.6, size=3)
-            reference, _ = posterior_from_multipliers(prior, basis, beta)
+            reference = posterior_from_multipliers(prior, basis, beta)
             constraints = [
                 QuantumConstraint(obs, expectation(reference, obs)) for obs in basis
             ]
             factors.append((prior, constraints, solve_quantum(prior, constraints, tol=1e-12)))
         (p1, c1, r1), (p2, c2, r2) = factors
         assert r1.converged and r2.converged
-        joint_prior = DensityMatrix(kron(p1.matrix, p2.matrix))
+        joint_prior = DensityMatrix(np.kron(p1.matrix, p2.matrix))
         embedded = [
-            QuantumConstraint(HermitianOperator(kron(c.observable.matrix, eye)), c.target)
+            QuantumConstraint(HermitianOperator(np.kron(c.observable.matrix, eye)), c.target)
             for c in c1
         ] + [
-            QuantumConstraint(HermitianOperator(kron(eye, c.observable.matrix)), c.target)
+            QuantumConstraint(HermitianOperator(np.kron(eye, c.observable.matrix)), c.target)
             for c in c2
         ]
         joint = solve_quantum(joint_prior, embedded, tol=1e-12)
         assert joint.converged
-        product = kron(r1.posterior.matrix, r2.posterior.matrix)
+        product = np.kron(r1.posterior.matrix, r2.posterior.matrix)
         worst = max(worst, float(np.max(np.abs(joint.posterior.matrix - product))))
     report_line("product posterior from per-factor bases", worst, 1e-8)
     assert worst <= 1e-8

@@ -25,7 +25,7 @@ from qmaxent.checks import (
 )
 from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
 from qmaxent.errors import DomainError, ShapeError
-from qmaxent.linalg import PAULI_X, PAULI_Z, HermitianOperator, kron
+from qmaxent.linalg import PAULI_X, PAULI_Z, HermitianOperator
 from qmaxent.quantum import DensityMatrix, QuantumConstraint, solve_quantum
 
 # uniform prior over {1,2,3} with <x> = 2.5; bisection on the scalar dual
@@ -87,7 +87,7 @@ class TestSubsystemIndependence:
         assert result.passed
 
     def test_pauli_z_pair(self):
-        half = DensityMatrix(np.eye(2, dtype=complex) / 2, normalized=True)
+        half = DensityMatrix(np.eye(2, dtype=complex) / 2)
         c1 = [QuantumConstraint(HermitianOperator(PAULI_Z), 0.3)]
         c2 = [QuantumConstraint(HermitianOperator(PAULI_Z), -0.2)]
         result = check_subsystem_independence(half, half, c1, c2)
@@ -98,11 +98,11 @@ class TestSubsystemIndependence:
     def test_pauli_z_pair_joint_solution(self):
         # same setup solved directly: multipliers are artanh of the targets
         # and the posterior is the product of the tanh-inverted factors
-        half = DensityMatrix(np.eye(2, dtype=complex) / 2, normalized=True)
-        joint_prior = DensityMatrix(kron(half.matrix, half.matrix))
+        half = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        joint_prior = DensityMatrix(np.kron(half.matrix, half.matrix))
         constraints = [
-            QuantumConstraint(HermitianOperator(kron(PAULI_Z, np.eye(2))), 0.3),
-            QuantumConstraint(HermitianOperator(kron(np.eye(2), PAULI_Z)), -0.2),
+            QuantumConstraint(HermitianOperator(np.kron(PAULI_Z, np.eye(2))), 0.3),
+            QuantumConstraint(HermitianOperator(np.kron(np.eye(2), PAULI_Z)), -0.2),
         ]
         report = solve_quantum(joint_prior, constraints, tol=1e-12)
         assert report.converged

@@ -275,7 +275,7 @@ class TestUpdateRegressions:
         assert main(["update", path]) == EXIT_INFEASIBLE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exact linear dependency" in captured.err
+        assert "Farkas certificate" in captured.err
 
     def test_die_with_negative_variance_exits_infeasible(self, tmp_path, capsys):
         # <X> = 3.5 and <X^2> = 11 on a fair die used to exit 3 (not converged)

@@ -1,14 +1,21 @@
-"""The shared Newton iteration: its start, one SVD per step, the dependency certificate, its arguments."""
+"""The shared Newton iteration: its start, one SVD per step, the certificate, its arguments."""
 
 import numpy as np
 import pytest
 
 from qmaxent import classical, quantum
+from qmaxent.checks import random_density_matrix, random_hermitian
 from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
 from qmaxent.dual import RCOND, _newton_step, newton_dual
 from qmaxent.errors import DomainError, InfeasibleTargetError
 from qmaxent.linalg import PAULI_X, PAULI_Z, HermitianOperator
-from qmaxent.quantum import DensityMatrix, QuantumConstraint, solve_quantum
+from qmaxent.quantum import (
+    DensityMatrix,
+    QuantumConstraint,
+    expectation,
+    posterior_from_multipliers,
+    solve_quantum,
+)
 
 
 class TestNewtonStep:
@@ -64,7 +71,7 @@ def test_dependency_certificate_runs_no_hermitian_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     prior = ClassicalDistribution([1.0, 1.0, 1.0])
     cons = [ClassicalConstraint([1.0, 2.0, 3.0], 2.2), ClassicalConstraint([1.0, 2.0, 3.0], 2.6)]
-    with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+    with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
         solve_classical(prior, cons)
     assert calls == []
 
@@ -198,3 +205,48 @@ class TestLineSearchRounding:
         report = self._solve(lambda state: 0.0)
         assert not report.converged
         assert report.iterations == 0
+
+
+def _planted_problem(rng, k):
+    """A feasible problem whose targets are the canonical posterior's at normal multipliers.
+
+    Even k gives a quantum problem (dim 2-5, m 1-3), odd k a classical one
+    (n 2-7, m 1-4). With m >= 2, half the problems make the last observable
+    the exact dependency A_m = A_1 + 2 A_2 + 1, which the targets then meet.
+    """
+    is_quantum = k % 2 == 0
+    size = int(rng.integers(2, 6) if is_quantum else rng.integers(2, 8))
+    m = int(rng.integers(1, 4) if is_quantum else rng.integers(1, 5))
+    if is_quantum:
+        prior = random_density_matrix(rng, size)
+        obs = [random_hermitian(rng, size).matrix for _ in range(m)]
+        unit = np.eye(size)
+    else:
+        prior = ClassicalDistribution(rng.uniform(0.1, 1.0, size=size))
+        obs = list(rng.normal(size=(m, size)))
+        unit = np.ones(size)
+    if m >= 2 and rng.random() < 0.5:
+        obs[-1] = obs[0] + 2 * obs[1] + unit
+    beta = rng.normal(scale=0.8, size=m)
+    if is_quantum:
+        obs = [HermitianOperator(o) for o in obs]
+        post = posterior_from_multipliers(prior, obs, beta)
+        return solve_quantum, prior, [QuantumConstraint(o, expectation(post, o)) for o in obs]
+    ln_w = np.log(prior.weights) + np.array(obs).T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    return solve_classical, prior, [ClassicalConstraint(o, float(o @ rho)) for o in obs]
+
+
+def test_feasible_problems_stopped_early_are_not_certified():
+    # a solve cut off by max_iter 0-3 runs the certificate on feasible
+    # targets; along a null direction of an exact dependency that the
+    # targets meet, rounding puts d.t and the spectrum's one point about
+    # 1e-16 apart either way, so a margin of 0 there certified 21 of these
+    rng = np.random.default_rng(8)
+    stopped = 0
+    for k in range(600):
+        solve, prior, cons = _planted_problem(rng, k)
+        report = solve(prior, cons, max_iter=int(rng.integers(0, 4)))
+        stopped += not report.converged
+    assert stopped >= 500

@@ -29,7 +29,7 @@ def random_hermitian(rng, dim):
 
 def random_state(rng, dim):
     rho = matrix_exp(random_hermitian(rng, dim)).matrix
-    return DensityMatrix(rho / np.trace(rho).real, normalized=True)
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 class TestDensityMatrix:
@@ -42,16 +42,12 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.0, -0.1]))
 
     def test_tolerates_tiny_negative_drift(self):
-        DensityMatrix(np.diag([1.0, -1e-13]), normalized=True)
+        DensityMatrix(np.diag([1.0, -1e-13]))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_zero_trace(self, dim):
         with pytest.raises(DomainError, match="trace must be positive"):
             DensityMatrix(np.zeros((dim, dim)))
-
-    def test_declared_normalized_must_have_unit_trace(self):
-        with pytest.raises(DomainError):
-            DensityMatrix(np.eye(2), normalized=True)
 
     def test_normalize(self):
         d = DensityMatrix(np.eye(4))
@@ -94,7 +90,7 @@ class TestStoredDecomposition:
         rng = np.random.default_rng(39)
         prior = random_state(rng, 3)
         obs = [random_hermitian(rng, 3)]
-        post, _ = posterior_from_multipliers(prior, obs, [0.5])
+        post = posterior_from_multipliers(prior, obs, [0.5])
         report = solve_quantum(prior, [QuantumConstraint(obs[0], expectation(post, obs[0]))])
         for rho in (prior, post, report.posterior, DensityMatrix(np.eye(3)).normalize()):
             assert np.array_equal(rho.matrix, rho.matrix.conj().T)
@@ -105,7 +101,7 @@ class TestStoredDecomposition:
         rng = np.random.default_rng(38)
         prior = random_state(rng, 4)
         obs = [random_hermitian(rng, 4) for _ in range(2)]
-        ref, _ = posterior_from_multipliers(prior, obs, [0.4, -0.6])
+        ref = posterior_from_multipliers(prior, obs, [0.4, -0.6])
         report = solve_quantum(prior, [QuantumConstraint(o, expectation(ref, o)) for o in obs])
         assert report.converged
         for rho in (ref, report.posterior):
@@ -168,8 +164,8 @@ class TestQuantumRelativeEntropy:
                     DensityMatrix(np.diag(r)), DensityMatrix(np.diag(p)), qv
                 )
                 c = relative_entropy(
-                    ClassicalDistribution(r, normalized=True),
-                    ClassicalDistribution(p, normalized=True),
+                    ClassicalDistribution(r),
+                    ClassicalDistribution(p),
                     cv,
                 )
                 assert q == pytest.approx(c, abs=1e-10)
@@ -191,25 +187,25 @@ class TestPosteriorFromMultipliers:
     def test_zero_multipliers_recover_normalized_prior(self):
         rng = np.random.default_rng(34)
         phi = DensityMatrix(matrix_exp(random_hermitian(rng, 3)).matrix)
-        post, z = posterior_from_multipliers(phi, [], [])
+        post = posterior_from_multipliers(phi, [], [])
         np.testing.assert_allclose(post.matrix, phi.matrix / phi.trace, atol=1e-12)
-        assert z == pytest.approx(phi.trace, rel=1e-12)
+        assert log_partition(phi, [], []) == pytest.approx(np.log(phi.trace), abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # prior I/2, observable diag(0, 1): posterior diag(1, e^a)/(1 + e^a)
         phi = DensityMatrix(np.eye(2) / 2)
         h = HermitianOperator(np.diag([0.0, 1.0]))
         for a in (-1.3, 0.0, 0.7, 2.1):
-            post, z = posterior_from_multipliers(phi, [h], [a])
+            post = posterior_from_multipliers(phi, [h], [a])
             expected = np.diag([1.0, np.exp(a)]) / (1 + np.exp(a))
             np.testing.assert_allclose(post.matrix, expected, atol=1e-12)
-            assert z == pytest.approx((1 + np.exp(a)) / 2, rel=1e-12)
+            assert np.exp(log_partition(phi, [h], [a])) == pytest.approx((1 + np.exp(a)) / 2, rel=1e-12)
 
     def test_posterior_is_normalized_psd(self):
         rng = np.random.default_rng(35)
         phi = random_state(rng, 4)
         obs = [random_hermitian(rng, 4) for _ in range(2)]
-        post, _ = posterior_from_multipliers(phi, obs, rng.normal(size=2))
+        post = posterior_from_multipliers(phi, obs, rng.normal(size=2))
         assert post.normalized
         assert post.eigenvalues[0] > -1e-12
 
@@ -217,11 +213,30 @@ class TestPosteriorFromMultipliers:
         with pytest.raises(DomainError):
             posterior_from_multipliers(DensityMatrix(np.diag([1.0, 0.0])), [], [])
 
-    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
     def test_non_finite_multiplier_is_rejected(self, alpha):
+        # log_partition returned nan, after "invalid value encountered in
+        # matmul" for inf, and posterior_from_multipliers called the
+        # posterior not positive semidefinite, "smallest eigenvalue nan"
         phi = DensityMatrix(np.eye(2) / 2)
-        with np.errstate(all="ignore"), pytest.raises(DomainError):
-            posterior_from_multipliers(phi, [HermitianOperator(PAULI_X)], [alpha])
+        for entry in (posterior_from_multipliers, log_partition):
+            with warnings.catch_warnings(), pytest.raises(
+                DomainError, match=rf"multipliers must be finite, got alpha\[1\] = {alpha!r}"
+            ):
+                warnings.simplefilter("error")
+                entry(phi, [HermitianOperator(PAULI_Z), HermitianOperator(PAULI_X)], [0.1, alpha])
+
+    def test_huge_multiplier_gives_exact_weights_without_overflow_warning(self):
+        # the shifted eigenvalue -2e308 overflows to -inf, whose weight 0 is
+        # exact; the shift warned "overflow encountered in subtract"
+        phi = DensityMatrix(np.eye(2) / 2)
+        obs = [HermitianOperator(PAULI_X)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ln_z = log_partition(phi, obs, [1e308])
+            post = posterior_from_multipliers(phi, obs, [1e308])
+        assert ln_z == 1e308
+        np.testing.assert_allclose(post.matrix, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_length_mismatch(self):
         phi = DensityMatrix(np.eye(2) / 2)
@@ -252,7 +267,7 @@ class TestLogPartition:
         phi = random_state(rng, 4)
         obs = [random_hermitian(rng, 4) for _ in range(3)]
         alpha = rng.normal(scale=0.5, size=3)
-        post, _ = posterior_from_multipliers(phi, obs, alpha)
+        post = posterior_from_multipliers(phi, obs, alpha)
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
@@ -356,7 +371,7 @@ class TestSolveQuantum:
         a = random_hermitian(rng, 3)
         grid = np.linspace(-4, 4, 100)
         vals = [
-            expectation(posterior_from_multipliers(prior, [a], [x])[0], a) for x in grid
+            expectation(posterior_from_multipliers(prior, [a], [x]), a) for x in grid
         ]
         assert np.all(np.diff(vals) >= -1e-12)
 
@@ -369,7 +384,7 @@ class TestSolveQuantum:
         mean = float(v @ w)
         target = mean + 0.35 * (float(v.max()) - mean)
         rc = solve_classical(
-            ClassicalDistribution(w, normalized=True), [ClassicalConstraint(v, target)], tol=1e-12
+            ClassicalDistribution(w), [ClassicalConstraint(v, target)], tol=1e-12
         )
         rq = solve_quantum(
             DensityMatrix(np.diag(w)), [QuantumConstraint(HermitianOperator(np.diag(v)), target)],
@@ -417,7 +432,7 @@ class TestSolveQuantum:
         for _ in range(5):
             prior = random_state(rng, 4)
             obs = [random_hermitian(rng, 4) for _ in range(2)]
-            ref, _ = posterior_from_multipliers(prior, obs, rng.normal(scale=0.6, size=2))
+            ref = posterior_from_multipliers(prior, obs, rng.normal(scale=0.6, size=2))
             cons = [QuantumConstraint(o, expectation(ref, o)) for o in obs]
             report = solve_quantum(prior, cons, tol=1e-10)
             assert report.converged
@@ -425,13 +440,14 @@ class TestSolveQuantum:
             assert report.posterior.normalized
 
 
-def test_posterior_from_multipliers_gives_inf_partition_without_overflow_warning():
-    # ln Z ~ 2201.6 here; exp(ln Z) used to warn "overflow encountered in exp"
+def test_posterior_from_multipliers_past_the_float_range_of_z_without_overflow_warning():
+    # ln Z ~ 2201.6 here; the Z this function used to return was inf, and
+    # before that exp(ln Z) warned "overflow encountered in exp"
     prior = DensityMatrix(np.eye(2) / 2)
     obs = [HermitianOperator(np.diag([1000.0, 1001.0]))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        post, z = posterior_from_multipliers(prior, obs, [2.2])
-    assert z == np.inf
-    assert log_partition(prior, obs, [2.2]) == pytest.approx(2200.0 + np.log(0.5 + 0.5 * np.exp(2.2)))
+        post = posterior_from_multipliers(prior, obs, [2.2])
+        ln_z = log_partition(prior, obs, [2.2])
+    assert ln_z == pytest.approx(2200.0 + np.log(0.5 + 0.5 * np.exp(2.2)))
     np.testing.assert_allclose(np.diag(post.matrix).real, [1, np.exp(2.2)] / (1 + np.exp(2.2)))

@@ -31,7 +31,7 @@ def gibbs_prior(rng, dim):
     vals, vecs = np.linalg.eigh(scaled_hermitian(rng, dim))
     w = np.exp(vals - vals[-1])
     rho = (vecs * (w / w.sum())) @ vecs.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2.0, normalized=True)
+    return DensityMatrix((rho + rho.conj().T) / 2.0)
 
 
 def exact_hessian(prior, observables, alpha):
@@ -43,7 +43,7 @@ def fd_hessian(prior, observables, alpha, h=1e-5):
     m = len(observables)
 
     def means(a):
-        rho, _ = posterior_from_multipliers(prior, observables, a)
+        rho = posterior_from_multipliers(prior, observables, a)
         return np.array([expectation(rho, o) for o in observables])
 
     cols = []
@@ -77,7 +77,7 @@ class TestBKMCovariance:
         # difference takes its limit p_k
         rng = np.random.default_rng(51)
         for dim in (2, 4, 6):
-            prior = DensityMatrix(np.eye(dim) / dim, normalized=True)
+            prior = DensityMatrix(np.eye(dim) / dim)
             obs = [
                 HermitianOperator(np.diag(rng.integers(-1, 2, size=dim).astype(float)))
                 for _ in range(2)
@@ -90,7 +90,7 @@ class TestBKMCovariance:
         # at C = ln(I/d) every weight is 1/d, so H_ij = Tr(A_i A_j)/d - <A_i><A_j>
         rng = np.random.default_rng(52)
         dim = 5
-        prior = DensityMatrix(np.eye(dim) / dim, normalized=True)
+        prior = DensityMatrix(np.eye(dim) / dim)
         obs = [HermitianOperator(scaled_hermitian(rng, dim)) for _ in range(3)]
         means = np.array([np.trace(o.matrix).real / dim for o in obs])
         expected = np.array(
@@ -101,7 +101,7 @@ class TestBKMCovariance:
     def test_finite_for_widely_spread_spectrum(self):
         # gaps of hundreds would overflow exp(lambda_k) in the textbook
         # divided difference; the kernel form stays finite and PSD
-        prior = DensityMatrix(np.eye(3) / 3, normalized=True)
+        prior = DensityMatrix(np.eye(3) / 3)
         coupling = np.zeros((3, 3))
         coupling[0, 1] = coupling[1, 0] = 1.0
         obs = [HermitianOperator(np.diag([0.0, 1.0, 2.0])), HermitianOperator(coupling)]
@@ -115,7 +115,7 @@ def planted_problem(seed, dim, m):
     prior = gibbs_prior(rng, dim)
     obs = [HermitianOperator(scaled_hermitian(rng, dim)) for _ in range(m)]
     beta = rng.normal(scale=0.8 / np.sqrt(m), size=m)
-    reference, _ = posterior_from_multipliers(prior, obs, beta)
+    reference = posterior_from_multipliers(prior, obs, beta)
     return prior, [QuantumConstraint(o, expectation(reference, o)) for o in obs], beta
 
 
@@ -192,7 +192,7 @@ class TestDependencyCertificate:
         # <X> = 0.3 and <X> = 0.5: the parent stalled at alpha = (0.212, 0.212)
         prior = DensityMatrix(np.eye(2) / 2)
         cons = [QuantumConstraint(HermitianOperator(PAULI_X), t) for t in (0.3, 0.5)]
-        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_quantum(prior, cons)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
@@ -202,7 +202,7 @@ class TestDependencyCertificate:
             QuantumConstraint(HermitianOperator(scale * PAULI_X), scale * t)
             for t in (0.3, 0.5)
         ]
-        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_quantum(prior, cons)
 
     def test_combination_with_identity_shift(self):
@@ -213,7 +213,7 @@ class TestDependencyCertificate:
             QuantumConstraint(HermitianOperator(o), t)
             for o, t in zip(observables, (0.3, 0.2, 1.9))
         ]
-        with pytest.raises(InfeasibleTargetError, match="exact linear dependency"):
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_quantum(prior, cons)
 
     def test_consistent_dependency_still_converges(self):

@@ -108,7 +108,7 @@ class TestSpinConstraintValue:
             alpha = float(rng.normal())
             prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex))
             obs = HermitianOperator(observable_matrix(p))
-            post, _ = posterior_from_multipliers(prior, [obs], [alpha])
+            post = posterior_from_multipliers(prior, [obs], [alpha])
             assert spin_constraint_value(p, alpha) == pytest.approx(
                 expectation(post, obs), abs=1e-10
             )
@@ -155,7 +155,7 @@ class TestSpinPosterior:
             alpha = float(rng.normal())
             prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex))
             obs = HermitianOperator(observable_matrix(p))
-            general, _ = posterior_from_multipliers(prior, [obs], [alpha])
+            general = posterior_from_multipliers(prior, [obs], [alpha])
             np.testing.assert_allclose(spin_posterior(p, alpha).matrix, general.matrix, atol=1e-10)
 
 
@@ -260,7 +260,7 @@ class TestSolveSpin:
                 cz=base.cz, target=spin_constraint_value(base, float(rng.uniform(-1, 1))),
             )
             oracle = solve_spin(p)
-            prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex), normalized=True)
+            prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex))
             obs = HermitianOperator(observable_matrix(p))
             general = solve_quantum(prior, [QuantumConstraint(obs, p.target)], tol=1e-12)
             assert oracle.converged and general.converged

@@ -19,7 +19,7 @@ import numpy as np
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, run_all_checks
 from .classical import relative_entropy, solve_classical
 from .errors import DomainError, InfeasibleTargetError, ShapeError
-from .quantum import DensityMatrix, quantum_relative_entropy, solve_quantum
+from .quantum import quantum_relative_entropy, solve_quantum
 from .serialization import (
     ProblemFormatError,
     canonical_dumps,
@@ -27,7 +27,7 @@ from .serialization import (
     property_results_to_obj,
     report_to_obj,
 )
-from .spin import solve_spin
+from .spin import solve_spin, spin_relative_entropy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,16 +84,18 @@ def run_update(path: str, out_path: str | None = None) -> int:
         if mode == "spin":
             problem = payload["problem"]
             report = solve_spin(problem, **payload["options"])
-            prior = DensityMatrix(np.diag([problem.a, problem.b]).astype(complex))
+            entropy = {
+                v: spin_relative_entropy(report.posterior, problem, v) for v in ("full", "umegaki")
+            }
         else:
             prior = payload["prior"]
             solve = solve_classical if mode == "classical" else solve_quantum
             report = solve(prior, payload["constraints"], **payload["options"])
-        if mode == "classical":
-            entropy_of, variants = relative_entropy, ("full", "normalized")
-        else:
-            entropy_of, variants = quantum_relative_entropy, ("full", "umegaki")
-        entropy = {v: entropy_of(report.posterior, prior, v) for v in variants}
+            if mode == "classical":
+                entropy_of, variants = relative_entropy, ("full", "normalized")
+            else:
+                entropy_of, variants = quantum_relative_entropy, ("full", "umegaki")
+            entropy = {v: entropy_of(report.posterior, prior, v) for v in variants}
     except InfeasibleTargetError as exc:
         _say(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
@@ -155,7 +157,3 @@ def main(argv=None) -> int:
     if args.command == "update":
         return run_update(args.problem, args.out)
     return run_verify(args.seed, args.trials, args.out)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -141,15 +141,20 @@ def quantum_relative_entropy(
     divergence. Zero eigenvalues of rho contribute nothing (0 ln 0 = 0);
     phi must be full rank.
     """
-    if variant not in ("full", "umegaki"):
-        raise ValueError(f"unknown variant {variant!r}")
     if rho.dim != phi.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {phi.dim}")
     _require_full_rank(phi, "phi")
+    return _relative_entropy_to_log(rho, _log(phi), variant)
+
+
+def _relative_entropy_to_log(rho: DensityMatrix, ln_phi: np.ndarray, variant: str) -> float:
+    """quantum_relative_entropy(rho, phi, variant) from ln phi, of rho's dimension."""
+    if variant not in ("full", "umegaki"):
+        raise ValueError(f"unknown variant {variant!r}")
     vals = rho.eigenvalues
     positive = vals[vals > 0]
     tr_rho_ln_rho = float(np.sum(positive * np.log(positive)))
-    tr_rho_ln_phi = trace_product(rho.matrix, _log(phi))
+    tr_rho_ln_phi = trace_product(rho.matrix, ln_phi)
     umegaki = -(tr_rho_ln_rho - tr_rho_ln_phi)
     if variant == "umegaki":
         return umegaki

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError
-from .quantum import DensityMatrix
+from .quantum import DensityMatrix, _relative_entropy_to_log
 from .report import SolverReport
 
 DEFAULT_TOL = 1e-12
@@ -108,6 +108,15 @@ def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
         [[1.0 + bz, bx - 1j * by], [bx + 1j * by, 1.0 - bz]], dtype=complex
     )
     return DensityMatrix(rho)
+
+
+def spin_relative_entropy(rho: DensityMatrix, p: SpinProblem, variant: str = "full") -> float:
+    """quantum_relative_entropy(rho, diag(a, b), variant) for any a, b > 0.
+
+    Takes ln phi = diag(ln a, ln b) directly, since diag(a, b) fails the
+    full-rank test of quantum_relative_entropy once min(a, b) <= 1e-12 (a + b).
+    """
+    return _relative_entropy_to_log(rho, np.diag(np.log([p.a, p.b])), variant)
 
 
 def _report(p: SpinProblem, alpha: float, steps: int, tol: float) -> SolverReport:

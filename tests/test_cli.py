@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmaxent
+import qmaxent.__main__
 from qmaxent.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -250,6 +251,40 @@ def test_module_entry_point(tmp_path):
     assert len(json.loads(proc.stdout)) == 6
 
 
+class TestThreadDefault:
+    """qmaxent.__main__.main picks one OpenBLAS thread unless the caller chose."""
+
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # the environment that cli.main runs under; no command runs
+        seen = {}
+
+        def fake_main(argv):
+            seen.update({name: os.environ.get(name) for name in self.VARIABLES}, argv=argv)
+            return EXIT_OK
+
+        monkeypatch.setattr(qmaxent.cli, "main", fake_main)
+        for name in self.VARIABLES:
+            # setenv first, so that teardown also removes what main sets
+            monkeypatch.setenv(name, "")
+            monkeypatch.delenv(name)
+        return seen
+
+    def test_sets_one_openblas_thread_when_neither_variable_is_set(self, seen):
+        assert qmaxent.__main__.main(["verify"]) == EXIT_OK
+        assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "argv": ["verify"]}
+
+    @pytest.mark.parametrize("name", VARIABLES)
+    def test_keeps_a_callers_setting(self, seen, monkeypatch, name):
+        monkeypatch.setenv(name, "2")
+        assert qmaxent.__main__.main(["verify"]) == EXIT_OK
+        expected = dict.fromkeys(self.VARIABLES)
+        expected.update({name: "2", "argv": ["verify"]})
+        assert seen == expected
+
+
 class TestUpdateRegressions:
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_duplicated_observable_with_conflicting_targets_exits_infeasible(
@@ -332,6 +367,23 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert report["multipliers"][0] == pytest.approx(math.atanh(0.3), rel=1e-12)
         assert report["log_partition"] == pytest.approx(-459.77671607851357, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1e-13, 1e-200])
+    def test_spin_file_with_prior_below_the_full_rank_test_exits_ok(self, tmp_path, capsys, a):
+        # solve_spin converged, then the entropy rebuilt diag(a, 1) as a
+        # DensityMatrix and exited 1 with "phi must be full rank"
+        path = write_problem(
+            tmp_path / "spin.json",
+            {"mode": "spin", "a": a, "b": 1.0, "c": [0.0, 0.0, 0.0, 1.0], "target": 0.3},
+        )
+        assert main(["update", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        # the posterior is diag(0.65, 0.35)
+        p = np.array([0.65, 0.35])
+        umegaki = -float(np.sum(p * (np.log(p) - np.log([a, 1.0]))))
+        assert report["entropy"]["umegaki"] == pytest.approx(umegaki, rel=1e-10)
+        assert report["entropy"]["full"] == pytest.approx(umegaki + 1.0, rel=1e-10)
 
     def test_offset_classical_observable_exits_ok(self, tmp_path, capsys):
         # ln Z ~ 1e5: the posterior weights used to come from a second exp,

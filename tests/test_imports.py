@@ -1,5 +1,5 @@
-"""qmaxent imports numpy only, its numpy logsumexp is exact to rounding, and the
-names the traced benchmark wraps exist."""
+"""qmaxent imports numpy only and that lazily, its numpy logsumexp is exact to
+rounding, and the names the traced benchmark wraps exist."""
 
 import importlib
 import math
@@ -12,10 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmaxent
 from qmaxent.classical import logsumexp
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def run_child(code: str) -> str:
+    """Run code in a fresh interpreter that imports qmaxent from src; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_import_loads_no_scipy():
@@ -23,12 +34,63 @@ def test_import_loads_no_scipy():
         "import sys, qmaxent, qmaxent.cli\n"
         "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    assert run_child(code) == "[]"
+
+
+class TestLazyPackage:
+    def test_import_loads_neither_numpy_nor_a_submodule(self):
+        # python -m qmaxent picks its BLAS thread count after this import
+        code = (
+            "import sys, qmaxent\n"
+            "print(sorted(n for n in sys.modules if n == 'numpy' or n.startswith('qmaxent.')))\n"
+        )
+        assert run_child(code) == "[]"
+
+    def test_first_use_imports_the_home_module_and_keeps_the_name(self):
+        code = (
+            "import sys, qmaxent\n"
+            "before = 'solve_quantum' in vars(qmaxent)\n"
+            "solve = qmaxent.solve_quantum\n"
+            "print(before, vars(qmaxent)['solve_quantum'] is solve,\n"
+            "      solve is sys.modules['qmaxent.quantum'].solve_quantum)\n"
+        )
+        assert run_child(code) == "False True True"
+
+    def test_submodules_are_reached_from_a_plain_import(self):
+        code = (
+            "import sys, numpy, qmaxent\n"
+            "ln_z, weights = qmaxent.classical.logsumexp(numpy.zeros(2))\n"
+            "print(round(ln_z, 12), qmaxent.classical is sys.modules['qmaxent.classical'])\n"
+        )
+        assert run_child(code) == f"{round(math.log(2), 12)} True"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["checks", "classical", "cli", "dual", "errors", "linalg", "quantum", "report",
+         "serialization", "spin"],
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    def test_each_submodule_is_an_attribute(self, name):
+        module = getattr(qmaxent, name)
+        assert module is importlib.import_module(f"qmaxent.{name}")
+        assert vars(qmaxent)[name] is module
+        assert name in dir(qmaxent)
+
+    def test_public_names_are_their_home_modules_objects(self):
+        for name in qmaxent.__all__:
+            value = getattr(qmaxent, name)
+            assert value.__module__.startswith("qmaxent."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+            assert vars(qmaxent)[name] is value, name
+
+    def test_star_import_gives_all(self):
+        namespace: dict = {}
+        exec("from qmaxent import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(qmaxent.__all__)
+
+    def test_dir_lists_all_and_unknown_names_raise(self):
+        assert set(qmaxent.__all__) <= set(dir(qmaxent))
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            qmaxent.no_such_name
 
 
 def test_traced_benchmark_names_resolve(monkeypatch):

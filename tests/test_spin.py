@@ -11,6 +11,7 @@ from qmaxent.quantum import (
     expectation,
     log_partition,
     posterior_from_multipliers,
+    quantum_relative_entropy,
     solve_quantum,
 )
 from qmaxent.spin import (
@@ -20,6 +21,7 @@ from qmaxent.spin import (
     spin_constraint_value,
     spin_partition,
     spin_posterior,
+    spin_relative_entropy,
 )
 
 ARTANH_04 = 0.42364893019360184
@@ -157,6 +159,24 @@ class TestSpinPosterior:
             obs = HermitianOperator(observable_matrix(p))
             general = posterior_from_multipliers(prior, [obs], [alpha])
             np.testing.assert_allclose(spin_posterior(p, alpha).matrix, general.matrix, atol=1e-10)
+
+
+class TestSpinRelativeEntropy:
+    @pytest.mark.parametrize("variant", ["full", "umegaki"])
+    def test_matches_general_route(self, variant):
+        rng = np.random.default_rng(56)
+        for _ in range(30):
+            p = random_problem(rng)
+            rho = spin_posterior(p, float(rng.normal()))
+            prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex))
+            assert spin_relative_entropy(rho, p, variant) == pytest.approx(
+                quantum_relative_entropy(rho, prior, variant), rel=1e-12, abs=1e-14
+            )
+
+    def test_bad_variant(self):
+        p = SpinProblem(a=1.0, b=1.0, c1=0, cx=0, cy=0, cz=1, target=0.0)
+        with pytest.raises(ValueError):
+            spin_relative_entropy(spin_posterior(p, 0.0), p, "renyi")
 
 
 class TestSolveSpin:

@@ -136,7 +136,8 @@ def relative_entropy(
         raise SupportViolationError("rho has weight where phi vanishes")
     s = float(np.sum(r[support] * np.log(r[support] / p[support])))
     if variant == "normalized":
-        return -s
+        # not -s, which is -0.0 for rho = phi
+        return 0.0 - s
     return float(r.sum()) - s
 
 

@@ -6,6 +6,10 @@ instances. Machine-readable JSON goes to --out or standard output;
 the human-readable summary goes to standard error. Exit codes: 0
 success/converged, 1 parse/domain/usage error, 2 infeasible target,
 3 non-convergence (verify: 1 when any check fails).
+
+Each command loads only what it runs: update loads qmaxent.spin only
+for a spin file, and only verify loads qmaxent.checks. The classical and
+quantum solvers load with this module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import sys
 
 import numpy as np
 
-from .checks import DEFAULT_SEED, DEFAULT_TRIALS, run_all_checks
 from .classical import relative_entropy, solve_classical
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .quantum import quantum_relative_entropy, solve_quantum
@@ -27,7 +30,6 @@ from .serialization import (
     property_results_to_obj,
     report_to_obj,
 )
-from .spin import solve_spin, spin_relative_entropy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,6 +84,8 @@ def run_update(path: str, out_path: str | None = None) -> int:
 
     try:
         if mode == "spin":
+            from .spin import solve_spin, spin_relative_entropy
+
             problem = payload["problem"]
             report = solve_spin(problem, **payload["options"])
             entropy = {
@@ -113,14 +117,21 @@ def run_update(path: str, out_path: str | None = None) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def run_verify(seed: int, trials: int, out_path: str | None = None) -> int:
+def run_verify(
+    seed: int | None = None, trials: int | None = None, out_path: str | None = None
+) -> int:
+    """Run the property checks; a seed or trials of None takes the default in qmaxent.checks."""
+    from . import checks
+
+    seed = checks.DEFAULT_SEED if seed is None else seed
+    trials = checks.DEFAULT_TRIALS if trials is None else trials
     if trials < 1:
         _say(f"error: trials must be at least 1, got {trials}")
         return EXIT_ERROR
     if seed < 0:
         _say(f"error: seed must be non-negative, got {seed}")
         return EXIT_ERROR
-    results = run_all_checks(seed=seed, trials=trials)
+    results = checks.run_all_checks(seed=seed, trials=trials)
     try:
         _write_output(canonical_dumps(property_results_to_obj(results)), out_path)
     except OSError as exc:
@@ -144,8 +155,8 @@ def main(argv=None) -> int:
     update.add_argument("--out", help="write the JSON report here instead of stdout")
 
     verify = sub.add_parser("verify", help="run the property-check suite")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-    verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="instances per check")
+    verify.add_argument("--seed", type=int, help="random seed")
+    verify.add_argument("--trials", type=int, help="instances per check")
     verify.add_argument("--out", help="write the JSON report here instead of stdout")
 
     try:

@@ -33,8 +33,9 @@ class HermitianOperator:
     """A Hermitian matrix, validated and symmetrized at construction.
 
     Entries must be finite. The input may drift from exact Hermiticity
-    by at most HERMITICITY_TOL in max norm; the stored matrix is
-    (M + M^dag)/2 and is never mutated afterwards.
+    by at most HERMITICITY_TOL times its largest entry, max |M_ij|, in
+    max norm, so the test reads the same at every scale of M; the stored
+    matrix is (M + M^dag)/2 and is never mutated afterwards.
     """
 
     def __init__(self, matrix):
@@ -47,10 +48,11 @@ class HermitianOperator:
             raise DomainError(f"matrix has non-finite entries at {entries}{more}")
         adj = arr.conj().T
         drift = float(np.max(np.abs(arr - adj)))
-        if drift > HERMITICITY_TOL:
+        scale = float(np.max(np.abs(arr)))
+        if drift > HERMITICITY_TOL * scale:
             raise DomainError(
                 f"matrix is not Hermitian: max |M - M^dag| = {drift:.3e} "
-                f"exceeds tolerance {HERMITICITY_TOL:.3e}"
+                f"exceeds tolerance {HERMITICITY_TOL:.0e} times max |M_ij| = {scale:.3e}"
             )
         self._matrix = (arr + adj) * 0.5
         self._matrix.setflags(write=False)

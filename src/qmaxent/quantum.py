@@ -61,15 +61,16 @@ class DensityMatrix:
         return state
 
     def _setup(self, matrix, eigenvalues, eigenvectors) -> None:
-        # not >=, so that a NaN spectrum is rejected too
-        if not eigenvalues[0] >= PSD_EIG_TOL:
+        trace = float(np.trace(matrix).real)
+        if trace <= 0:
+            raise DomainError("trace must be positive")
+        # relative to the trace, as eigh's rounding is; not >=, so that a
+        # NaN spectrum is rejected too
+        if not eigenvalues[0] >= PSD_EIG_TOL * trace:
             raise DomainError(
                 f"matrix is not positive semidefinite: smallest eigenvalue "
                 f"{eigenvalues[0]:.3e}"
             )
-        trace = float(np.trace(matrix).real)
-        if trace <= 0:
-            raise DomainError("trace must be positive")
         self.matrix = matrix
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
@@ -155,7 +156,8 @@ def _relative_entropy_to_log(rho: DensityMatrix, ln_phi: np.ndarray, variant: st
     positive = vals[vals > 0]
     tr_rho_ln_rho = float(np.sum(positive * np.log(positive)))
     tr_rho_ln_phi = trace_product(rho.matrix, ln_phi)
-    umegaki = -(tr_rho_ln_rho - tr_rho_ln_phi)
+    # not -(a - b), which gives -0.0 when the two are equal
+    umegaki = tr_rho_ln_phi - tr_rho_ln_rho
     if variant == "umegaki":
         return umegaki
     return umegaki + rho.trace

@@ -4,22 +4,31 @@ Matrices travel as { "dim": n, "entries": [[re, im], ...] } with entries
 row-major of length n^2. Report writing goes through canonical_dumps,
 which formats every float with 17 significant digits and preserves key
 order, so identical inputs produce byte-identical output.
+
+Numbers cross between JSON and numpy in bulk: a matrix is read with one
+check of each pair and one array conversion, and a list of floats or of
+[re, im] float pairs is written with one join. Only the spin branch of
+parse_problem loads qmaxent.spin, and qmaxent.checks is never loaded
+here, so `qmaxent update` on a classical or quantum file compiles
+neither module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .checks import PropertyResult
 from .classical import ClassicalConstraint, ClassicalDistribution
 from .linalg import HermitianOperator
 from .quantum import DensityMatrix, QuantumConstraint
 from .report import SolverReport
-from .spin import SpinProblem
+
+if TYPE_CHECKING:
+    from .checks import PropertyResult
 
 
 class ProblemFormatError(ValueError):
@@ -31,10 +40,24 @@ _BEYOND_FLOAT = "integer is beyond the float range"
 
 
 def matrix_to_obj(matrix) -> dict:
-    arr = np.asarray(matrix, dtype=complex)
-    n = arr.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
-    return {"dim": n, "entries": entries}
+    arr = np.ascontiguousarray(matrix, dtype=complex)
+    # each complex entry viewed as its [re, im] float pair
+    pairs = arr.reshape(-1).view(float).reshape(-1, 2)
+    return {"dim": arr.shape[0], "entries": pairs.tolist()}
+
+
+def _real_pair(pair, where: str) -> tuple[float, float]:
+    """The [re, im] pair as two floats, or a ProblemFormatError naming it."""
+    if (
+        not isinstance(pair, (list, tuple))
+        or len(pair) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+    ):
+        raise ProblemFormatError(f"{where}: expected a [re, im] pair of reals, got {pair!r}")
+    try:
+        return float(pair[0]), float(pair[1])
+    except OverflowError:
+        raise ProblemFormatError(f"{where}: {_BEYOND_FLOAT}") from None
 
 
 def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
@@ -49,21 +72,16 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
         raise ProblemFormatError(
             f"{where}.entries: expected {dim * dim} [re, im] pairs, got {found}"
         )
-    flat = np.empty(dim * dim, dtype=complex)
+    copied = False
     for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ProblemFormatError(
-                f"{where}.entries[{k}]: expected a [re, im] pair of reals, got {pair!r}"
-            )
-        try:
-            flat[k] = complex(pair[0], pair[1])
-        except OverflowError:
-            raise ProblemFormatError(f"{where}.entries[{k}]: {_BEYOND_FLOAT}") from None
-    return flat.reshape(dim, dim)
+        # a pair of two floats needs no check; any other is checked and
+        # replaced by its floats, in a copy, so integers convert as float() does
+        if type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is float:
+            continue
+        if not copied:
+            entries, copied = list(entries), True
+        entries[k] = _real_pair(pair, f"{where}.entries[{k}]")
+    return np.array(entries, dtype=float).view(complex).reshape(dim, dim)
 
 
 def _real_vector(obj, where: str) -> np.ndarray:
@@ -129,6 +147,8 @@ def parse_problem(obj) -> tuple[str, dict]:
         c = obj.get("c")
         if not isinstance(c, list) or len(c) != 4:
             raise ProblemFormatError("c: expected [c1, cx, cy, cz]")
+        from .spin import SpinProblem
+
         problem = SpinProblem(
             a=_real_scalar(obj.get("a"), "a"),
             b=_real_scalar(obj.get("b"), "b"),
@@ -163,7 +183,7 @@ def parse_problem(obj) -> tuple[str, dict]:
 
 def report_to_obj(mode: str, report: SolverReport, entropy: dict) -> dict:
     if isinstance(report.posterior, ClassicalDistribution):
-        posterior = [float(w) for w in report.posterior.weights]
+        posterior = report.posterior.weights.tolist()
     else:
         posterior = matrix_to_obj(report.posterior.matrix)
     return {
@@ -191,10 +211,34 @@ def property_results_to_obj(results: Sequence[PropertyResult]) -> list:
     ]
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(x, ".17g")
+def _format_floats(values: list) -> list[str]:
+    """Each float with 17 significant digits, NaN and +-inf as null."""
+    texts = [format(x, ".17g") for x in values]
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        texts = ["null" if t in ("nan", "inf", "-inf") else t for t in texts]
+    return texts
+
+
+def _float_lines(items: list, inner: str) -> str | None:
+    """The item lines, at indent inner, of a list of floats or of [float, float] pairs.
+
+    The text is what the recursive emitter writes for them. None for any
+    other list, which that emitter then writes item by item.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return inner + f",\n{inner}".join(_format_floats(items))
+    if kinds != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float}:
+        return None
+    texts = _format_floats(flat)
+    deeper = inner + "  "
+    # re and im joined within each pair, then the pairs joined
+    within, between = f",\n{deeper}", f"\n{inner}],\n{inner}[\n{deeper}"
+    body = between.join(map(within.join, zip(texts[::2], texts[1::2])))
+    return f"{inner}[\n{deeper}{body}\n{inner}]"
 
 
 def canonical_dumps(value) -> str:
@@ -211,7 +255,7 @@ def canonical_dumps(value) -> str:
         elif isinstance(node, (int, np.integer)):
             pieces.append(str(int(node)))
         elif isinstance(node, (float, np.floating)):
-            pieces.append(_format_float(float(node)))
+            pieces.extend(_format_floats([float(node)]))
         elif isinstance(node, str):
             pieces.append(json.dumps(node))
         elif isinstance(node, dict):
@@ -228,6 +272,10 @@ def canonical_dumps(value) -> str:
             items = list(node)
             if not items:
                 pieces.append("[]")
+                return
+            lines = _float_lines(items, inner)
+            if lines is not None:
+                pieces.append(f"[\n{lines}\n{pad}]")
                 return
             pieces.append("[\n")
             for i, item in enumerate(items):

@@ -207,6 +207,18 @@ class TestVerify:
         main(["verify", "--seed", "2", "--trials", "1", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_default_seed_and_trials_are_those_of_the_checks(self, tmp_path, monkeypatch):
+        from qmaxent import checks
+        from qmaxent.cli import run_verify
+
+        seen = []
+        monkeypatch.setattr(
+            checks, "run_all_checks", lambda seed, trials: seen.append((seed, trials)) or []
+        )
+        assert main(["verify", "--out", str(tmp_path / "v.json")]) == EXIT_OK
+        assert run_verify(out_path=str(tmp_path / "w.json")) == EXIT_OK
+        assert seen == [(checks.DEFAULT_SEED, checks.DEFAULT_TRIALS)] * 2
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -509,3 +521,39 @@ def test_quantum_update_runs_one_eigensolve_per_density_matrix_and_dual_evaluati
     np.testing.assert_allclose(report["multipliers"], beta, atol=1e-8)
     assert report["iterations"] >= 3
     assert len(calls) == 1 + report["iterations"]
+
+
+class TestZeroEntropyIsPositiveZero:
+    """-(a - b) gave -0.0 for a == b, written as -0; b - a gives +0.0."""
+
+    @pytest.mark.parametrize(
+        "problem, variant",
+        [
+            (
+                {
+                    "mode": "classical",
+                    "prior": [0.25, 0.25, 0.5],
+                    "constraints": [{"observable": [1, 0, -1], "target": -0.25}],
+                },
+                "normalized",
+            ),
+            ({"mode": "quantum", "prior": matrix_to_obj(np.eye(2) / 2)}, "umegaki"),
+        ],
+    )
+    def test_report_writes_zero_not_minus_zero(self, tmp_path, capsys, problem, variant):
+        path = write_problem(tmp_path / "p.json", problem)
+        assert main(["update", path]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert f'"{variant}": 0\n' in text
+        assert "-0\n" not in text
+        value = json.loads(text)["entropy"][variant]
+        assert value == 0 and math.copysign(1.0, value) == 1.0
+
+    def test_entropy_functions_return_positive_zero(self):
+        from qmaxent.classical import ClassicalDistribution, relative_entropy
+        from qmaxent.quantum import DensityMatrix, quantum_relative_entropy
+
+        phi = ClassicalDistribution([0.25, 0.25, 0.5])
+        assert math.copysign(1.0, relative_entropy(phi, phi, "normalized")) == 1.0
+        rho = DensityMatrix(np.eye(2) / 2)
+        assert math.copysign(1.0, quantum_relative_entropy(rho, rho, "umegaki")) == 1.0

@@ -1,5 +1,6 @@
-"""qmaxent imports numpy only and that lazily, its numpy logsumexp is exact to
-rounding, and the names the traced benchmark wraps exist."""
+"""qmaxent imports numpy only and that lazily, each command loads only the
+modules it runs, its numpy logsumexp is exact to rounding, and the names the
+traced benchmark wraps exist."""
 
 import importlib
 import math
@@ -91,6 +92,37 @@ class TestLazyPackage:
         assert set(qmaxent.__all__) <= set(dir(qmaxent))
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             qmaxent.no_such_name
+
+
+class TestCommandLoadsOnlyItsModules:
+    OPTIONAL = ("qmaxent.checks", "qmaxent.spin")
+
+    def loaded_after_update(self, problem: str, tmp_path) -> str:
+        # the entry point of python -m qmaxent, in a fresh interpreter
+        code = (
+            "import sys, qmaxent.__main__\n"
+            f"code = qmaxent.__main__.main(['update', {str(ROOT / 'tests' / 'data' / problem)!r},"
+            f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+            f"print(code, [n for n in {self.OPTIONAL!r} if n in sys.modules])\n"
+        )
+        return run_child(code)
+
+    @pytest.mark.parametrize("problem", ["quantum_dim2.problem.json", "classical.problem.json"])
+    def test_update_loads_neither_checks_nor_spin(self, problem, tmp_path):
+        assert self.loaded_after_update(problem, tmp_path) == "0 []"
+
+    def test_spin_update_loads_spin_but_not_checks(self, tmp_path):
+        assert self.loaded_after_update("spin.problem.json", tmp_path) == "0 ['qmaxent.spin']"
+
+    def test_cli_import_loads_both_solvers(self):
+        # a benchmark that imports qmaxent.cli before its first timed op
+        # must not pay for a solver's compile inside that op
+        code = (
+            "import sys, qmaxent.cli\n"
+            "print([n for n in ('qmaxent.classical', 'qmaxent.quantum', 'qmaxent.checks',"
+            " 'qmaxent.spin') if n in sys.modules])\n"
+        )
+        assert run_child(code) == "['qmaxent.classical', 'qmaxent.quantum']"
 
 
 def test_traced_benchmark_names_resolve(monkeypatch):

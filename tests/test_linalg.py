@@ -49,6 +49,26 @@ class TestHermitianOperator:
         with pytest.raises(DomainError):
             HermitianOperator([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6, 1e100])
+    def test_large_hermitian_matrix_is_not_refused_by_an_absolute_drift_test(self, scale):
+        # U diag(s t) U^dag drifts from Hermiticity by about eps s: an
+        # absolute 1e-12 bound called it not Hermitian from s = 1e4
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        m = (u * (scale * np.linspace(-1, 1, 8))) @ u.conj().T
+        op = HermitianOperator(m)
+        np.testing.assert_allclose(np.linalg.eigvalsh(op.matrix), scale * np.linspace(-1, 1, 8),
+                                   rtol=0, atol=1e-12 * scale)
+
+    def test_drift_is_measured_against_the_largest_entry(self):
+        assert not HermitianOperator(np.zeros((3, 3))).matrix.any()
+        # a drift of 1e-13 is within 1e-12 of entries near 1, not of entries near 1e-13
+        HermitianOperator([[1.0, 1e-13], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="not Hermitian"):
+            HermitianOperator([[0.0, 1e-13], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="not Hermitian"):
+            HermitianOperator(1e6 * np.array([[0.0, 1.0], [0.999, 0.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             HermitianOperator(np.zeros((2, 3)))

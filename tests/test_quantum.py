@@ -44,6 +44,30 @@ class TestDensityMatrix:
     def test_tolerates_tiny_negative_drift(self):
         DensityMatrix(np.diag([1.0, -1e-13]))
 
+    @pytest.mark.parametrize("trace", [1.0, 1e3, 1e6, 1e9, 1e200])
+    def test_rank_deficient_state_is_not_refused_at_large_trace(self, trace):
+        # eigh puts the zero eigenvalues at about -eps * trace: an absolute
+        # bound of -1e-12 called most of these not positive semidefinite
+        # from trace 1e6
+        rng = np.random.default_rng(7)
+        spectrum = np.array([0.0, 0.0, 1, 2, 3, 4, 5, 6]) * (trace / 21.0)
+        for _ in range(50):
+            u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            m = (u * spectrum) @ u.conj().T
+            state = DensityMatrix((m + m.conj().T) / 2)
+            assert not state.is_full_rank()
+            assert state.trace == pytest.approx(trace, rel=1e-12)
+
+    @pytest.mark.parametrize("trace", [1e-6, 1.0, 1e6])
+    def test_negative_eigenvalue_is_judged_against_the_trace(self, trace):
+        DensityMatrix(trace * np.diag([1.0, -0.9e-12]))
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            DensityMatrix(trace * np.diag([1.0, -1.1e-12]))
+
+    def test_trace_is_checked_before_the_spectrum(self):
+        with pytest.raises(DomainError, match="trace must be positive"):
+            DensityMatrix(np.diag([1.0, -2.0]))
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_zero_trace(self, dim):
         with pytest.raises(DomainError, match="trace must be positive"):

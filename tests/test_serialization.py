@@ -82,6 +82,55 @@ class TestMatrixObj:
         with pytest.raises(ProblemFormatError, match=r"m\.entries\[0\]"):
             matrix_from_obj(bad, where="m")
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([True, 0.0], "expected a [re, im] pair of reals, got [True, 0.0]"),
+            (["1", 0.0], "expected a [re, im] pair of reals, got ['1', 0.0]"),
+            ([0.0, None], "expected a [re, im] pair of reals, got [0.0, None]"),
+            ([1.0], "expected a [re, im] pair of reals, got [1.0]"),
+            ([1.0, 2.0, 3.0], "expected a [re, im] pair of reals, got [1.0, 2.0, 3.0]"),
+            (5, "expected a [re, im] pair of reals, got 5"),
+            (None, "expected a [re, im] pair of reals, got None"),
+            ([10**400, 0.0], "integer is beyond the float range"),
+            ([0.0, -(10**400)], "integer is beyond the float range"),
+        ],
+    )
+    def test_bad_pair_is_named_with_its_index(self, pair, message):
+        # the float pairs around it pass the bulk check; the bad one keeps
+        # the message and index of the per-entry reader
+        entries = [[0.5, 0.0], [0.25, 1.0], pair, [0.5, 0.0]]
+        with pytest.raises(ProblemFormatError) as info:
+            matrix_from_obj({"dim": 2, "entries": entries}, where="m")
+        assert str(info.value) == f"m.entries[2]: {message}"
+
+    def test_first_bad_pair_is_the_one_named(self):
+        entries = [[1, 0], [0.5, "x"], [True, 0.0], [0.5, 0.0]]
+        with pytest.raises(ProblemFormatError, match=r"^m\.entries\[1\]: "):
+            matrix_from_obj({"dim": 2, "entries": entries}, where="m")
+
+    def test_integers_and_tuples_convert_as_complex_does(self):
+        big = 2**80 + 2**27 + 1
+        entries = [[big, -3], (1.0, 2.0), [0, 2**53 + 1], [-0.0, 7]]
+        m = matrix_from_obj({"dim": 2, "entries": entries})
+        expected = np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+        assert m.tobytes() == expected.tobytes()
+        assert m[0, 0].real == float(big)
+        # the caller's list is left as it was
+        assert entries[0] == [big, -3]
+
+    def test_float_pairs_are_bit_identical_to_complex(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(16, 2)) * 10.0 ** rng.integers(-300, 300, size=(16, 2))
+        entries = values.tolist()
+        entries[3] = [-0.0, 5e-324]
+        entries[7] = [float("nan"), -math.inf]
+        m = matrix_from_obj({"dim": 4, "entries": entries})
+        expected = np.array([complex(re, im) for re, im in entries]).reshape(4, 4)
+        assert m.dtype == complex and m.shape == (4, 4)
+        assert m.tobytes() == expected.tobytes()
+
+
 
 class TestParseProblem:
     def test_classical(self):
@@ -297,3 +346,56 @@ class TestCanonicalDumps:
 
     def test_string_escaping(self):
         assert canonical_dumps('he said "hi"\n') == '"he said \\"hi\\"\\n"\n'
+
+
+class TestCanonicalDumpsBulkLists:
+    """Lists of floats and of [float, float] pairs are written with one join;
+    the text is what the item-by-item emitter writes."""
+
+    def test_float_list(self):
+        values = [1.5, math.nan, math.inf, -math.inf, -0.0, 1e-300, np.float64(0.1)]
+        assert canonical_dumps(values) == (
+            "[\n  1.5,\n  null,\n  null,\n  null,\n  -0,\n  1e-300,\n  0.10000000000000001\n]\n"
+        )
+        # the same floats without the numpy scalar take the bulk path
+        assert canonical_dumps([float(x) for x in values]) == canonical_dumps(values)
+
+    def test_pair_list(self):
+        assert canonical_dumps([[1.5, -0.0], [math.nan, 1e-300]]) == (
+            "[\n  [\n    1.5,\n    -0\n  ],\n  [\n    null,\n    1e-300\n  ]\n]\n"
+        )
+
+    def test_pair_list_nested_in_an_object(self):
+        text = canonical_dumps({"entries": [[0.25, -math.inf], [2.0, 0.1]]})
+        assert text == (
+            '{\n  "entries": [\n    [\n      0.25,\n      null\n    ],\n'
+            "    [\n      2,\n      0.10000000000000001\n    ]\n  ]\n}\n"
+        )
+
+    def test_mixed_empty_and_nested_lists(self):
+        obj = {
+            "a": [[1.5, 2], [1.0, 2.0]],
+            "b": [],
+            "c": [[]],
+            "d": [[1.0, 2.0], [3.0]],
+            "e": [[[1.0, 2.0]]],
+            "f": [1.0, "x", None, True],
+        }
+        assert canonical_dumps(obj) == (
+            '{\n  "a": [\n    [\n      1.5,\n      2\n    ],\n    [\n      1,\n      2\n    ]\n  ],\n'
+            '  "b": [],\n  "c": [\n    []\n  ],\n'
+            '  "d": [\n    [\n      1,\n      2\n    ],\n    [\n      3\n    ]\n  ],\n'
+            '  "e": [\n    [\n      [\n        1,\n        2\n      ]\n    ]\n  ],\n'
+            '  "f": [\n    1,\n    "x",\n    null,\n    true\n  ]\n}\n'
+        )
+
+    def test_matrix_obj_is_written_as_complex_pairs(self):
+        # tolist gives the floats that float(z.real), float(z.imag) give
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m[1, 2] = complex(-0.0, -0.0)
+        obj = matrix_to_obj(m.T)
+        assert obj["entries"] == [[float(z.real), float(z.imag)] for z in m.T.reshape(-1)]
+        assert all(type(x) is float for pair in obj["entries"] for x in pair)
+        # m[1, 2] is (2, 1) of the transpose
+        assert str(obj["entries"][7]) == "[-0.0, -0.0]"

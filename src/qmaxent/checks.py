@@ -17,6 +17,7 @@ import numpy as np
 from .classical import (
     ClassicalConstraint,
     ClassicalDistribution,
+    logsumexp,
     relative_entropy,
     solve_classical,
 )
@@ -242,10 +243,7 @@ def _classical_realizable_targets(
     prior: ClassicalDistribution, values: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """Targets realized by the canonical posterior at multipliers beta."""
-    ln_w = np.log(prior.weights) + values.T @ beta
-    rho = np.exp(ln_w - np.max(ln_w))
-    rho /= rho.sum()
-    return values @ rho
+    return values @ logsumexp(np.log(prior.weights) + values.T @ beta)[1]
 
 
 def run_all_checks(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> list[PropertyResult]:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, newton_dual
 from .errors import (
     DomainError,
     InfeasibleTargetError,
@@ -34,8 +34,6 @@ from .errors import (
 )
 from .report import SolverReport
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
 # bytes of the (m, cols) buffer the covariance is added up in, sized to
 # stay in a per-core cache
 BLOCK_BYTES = 1 << 19
@@ -210,16 +208,6 @@ def solve_classical(
     m = len(constraints)
     ln_phi = np.log(prior.weights)
 
-    if m == 0:
-        return SolverReport(
-            multipliers=np.zeros(0),
-            log_partition=float(np.log(prior.total)),
-            posterior=prior.normalize(),
-            residuals=np.zeros(0),
-            iterations=0,
-            converged=True,
-        )
-
     def point(ln_w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
         # the one logsumexp per dual evaluation: rho, ln Z and the means,
         # which the covariance reads back instead of forming a @ rho again
@@ -235,7 +223,7 @@ def solve_classical(
         with np.errstate(over="ignore", invalid="ignore"):
             return point(ln_phi + a.T @ alpha)
 
-    block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * m)))))
+    block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * max(m, 1))))))
     return newton_dual(
         lambda: point(ln_phi), t, evaluate,
         lambda state: _covariance(a, *state, block),

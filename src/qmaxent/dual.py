@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DomainError, InfeasibleTargetError
 from .report import SolverReport
 
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 200
 RCOND = 1e-12
 ARMIJO = 1e-4
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
@@ -25,7 +27,7 @@ ROUNDING = 64 * np.finfo(float).eps
 
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm, taken of x / max|x_i| so that it does not overflow."""
-    big = float(np.max(np.abs(x)))
+    big = float(np.max(np.abs(x), initial=0.0))
     return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
@@ -79,10 +81,12 @@ def newton_dual(
     is set by the spectral norm of C, not by ln Z); spectrum(d) gives the
     eigenvalues of sum_i d_i A_i (for a classical problem, its values
     on the states); posterior(state) is the reported posterior. The
-    iteration stops when max |gradient| <= tol. If it stops otherwise, on
-    a stalled line search or after max_iter steps, _certify may raise
-    InfeasibleTargetError. tol must be finite and positive and max_iter a
-    non-negative integer: a NaN tol stops the loop at once, -1 never.
+    iteration stops when max |gradient| <= tol, which an empty gradient
+    meets at once: a problem with no targets returns the start. If it
+    stops otherwise, on a stalled line search or after max_iter steps,
+    _certify may raise InfeasibleTargetError. tol must be finite and
+    positive and max_iter a non-negative integer, whatever the number of
+    targets: a NaN tol stops the loop at once, -1 never.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -93,7 +97,7 @@ def newton_dual(
     state, ln_z, grad = start()
     steps = 0
     stop = None
-    while float(np.max(np.abs(grad))) > tol:
+    while float(np.max(np.abs(grad), initial=0.0)) > tol:
         step, slope, null = _newton_step(hessian(state), grad)
         if steps == max_iter:
             stop = f"no convergence in {max_iter} iterations"
@@ -130,7 +134,7 @@ def newton_dual(
         posterior=posterior(state),
         residuals=grad,
         iterations=steps,
-        converged=bool(np.max(np.abs(grad)) <= tol),
+        converged=bool(np.max(np.abs(grad), initial=0.0) <= tol),
     )
 
 

@@ -17,7 +17,6 @@ HERMITICITY_TOL = 1e-12
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def _as_square_array(matrix) -> np.ndarray:

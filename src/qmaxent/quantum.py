@@ -28,13 +28,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import _norm, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, _norm, newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
 TRACE_TOL = 1e-10
@@ -342,18 +340,6 @@ def solve_quantum(
         raise DomainError("prior must be normalized (unit trace)")
     constraints = list(constraints)
     _check_feasible(constraints, prior.dim)
-    m = len(constraints)
-
-    if m == 0:
-        return SolverReport(
-            multipliers=np.zeros(0),
-            log_partition=float(np.log(prior.trace)),
-            posterior=prior,
-            residuals=np.zeros(0),
-            iterations=0,
-            converged=True,
-        )
-
     flat = _stack([c.observable for c in constraints], prior.dim)
     targets = np.array([c.target for c in constraints])
     ln_phi = _log(prior)

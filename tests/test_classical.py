@@ -172,13 +172,17 @@ class TestRelativeEntropy:
 
 
 class TestSolveClassical:
-    def test_no_constraints_returns_prior(self):
-        prior = ClassicalDistribution([0.2, 0.3, 0.5])
+    @pytest.mark.parametrize("weights", [[0.2, 0.3, 0.5], [1.0, 3.0, 7.5]])
+    def test_no_constraints_returns_the_normalized_prior(self, weights):
+        # the driver's start state: the Gibbs state of ln phi and its ln Z
+        prior = ClassicalDistribution(weights)
         report = solve_classical(prior, [])
-        assert report.posterior is prior
+        np.testing.assert_allclose(
+            report.posterior.weights, prior.weights / prior.total, rtol=0, atol=1e-15
+        )
         assert report.converged
         assert report.iterations == 0
-        assert np.exp(report.log_partition) == pytest.approx(1.0)
+        assert report.log_partition == pytest.approx(np.log(prior.total), rel=0, abs=1e-15)
 
     def test_no_constraints_normalizes_unnormalized_prior(self):
         report = solve_classical(ClassicalDistribution([1.0, 3.0]), [])

@@ -147,8 +147,8 @@ class TestUpdate:
         assert "error:" in capsys.readouterr().err
 
     def test_non_convergence_exit(self, tmp_path, capsys):
-        # two constraints so the scalar bisection fallback cannot rescue
-        # the iteration-starved solve
+        # one Newton step from alpha = 0 leaves this two-constraint
+        # problem short of tol
         values = np.array([[1.0, 2.0, 3.0], [1.0, 4.0, 9.0]])
         beta = np.array([1.2, -0.7])
         w = np.exp(values.T @ beta) / 3.0

@@ -250,3 +250,37 @@ def test_feasible_problems_stopped_early_are_not_certified():
         report = solve(prior, cons, max_iter=int(rng.integers(0, 4)))
         stopped += not report.converged
     assert stopped >= 500
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda **kw: solve_classical(ClassicalDistribution([0.2, 0.3, 0.5]), [], **kw),
+        lambda **kw: solve_quantum(DensityMatrix(np.eye(2) / 2), [], **kw),
+    ],
+    ids=["classical", "quantum"],
+)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": float("nan")}, "tol must be finite and positive"),
+        ({"tol": -1.0}, "tol must be finite and positive"),
+        ({"max_iter": -1}, "max_iter must be a non-negative integer"),
+    ],
+    ids=["nan_tol", "negative_tol", "negative_max_iter"],
+)
+def test_zero_constraint_solve_no_longer_skips_the_tol_and_max_iter_checks(solve, kwargs, message):
+    # a solve with no constraints had its own branch, which returned
+    # converged=True before the driver could check its arguments
+    with pytest.raises(DomainError, match=message):
+        solve(**kwargs)
+
+
+def test_zero_constraint_quantum_solve_runs_no_eigensolve(monkeypatch):
+    # the start state comes from the prior's stored decomposition; a call
+    # to either solver would raise TypeError
+    prior = random_density_matrix(np.random.default_rng(5), 3)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    report = solve_quantum(prior, [])
+    assert report.converged and report.iterations == 0

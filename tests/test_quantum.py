@@ -301,12 +301,15 @@ class TestLogPartition:
 
 
 class TestSolveQuantum:
-    def test_no_constraints_returns_prior_object(self):
-        prior = DensityMatrix(np.eye(4) / 4)
-        report = solve_quantum(prior, [])
-        assert report.posterior is prior
-        assert report.converged
-        assert report.iterations == 0
+    def test_no_constraints_returns_the_prior_state(self):
+        # the driver's start state: the Gibbs state of ln phi, from the
+        # prior's stored decomposition, and its ln Z, ln Tr phi
+        for prior in (DensityMatrix(np.eye(4) / 4), random_state(np.random.default_rng(1), 4)):
+            report = solve_quantum(prior, [])
+            np.testing.assert_allclose(report.posterior.matrix, prior.matrix, rtol=0, atol=1e-15)
+            assert report.converged
+            assert report.iterations == 0
+            assert report.log_partition == pytest.approx(np.log(prior.trace), rel=0, abs=1e-15)
 
     def test_gibbs_logistic_inversion(self):
         prior = DensityMatrix(np.eye(2) / 2)

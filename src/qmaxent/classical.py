@@ -7,7 +7,8 @@ found by Newton iteration on the convex dual G(alpha) = ln Z - alpha.t,
 whose gradient is the residual vector and whose Hessian is the
 constraint covariance under the current iterate. Each evaluation takes
 one exp of the exponent shifted by its largest entry and divides it by
-its own sum (logsumexp), so the weights sum to 1 whatever ln Z is. The
+its own sum (qmaxent.dual.logsumexp, which the quantum solver applies to
+the eigenvalues of C), so the weights sum to 1 whatever ln Z is. The
 iteration starts at alpha = 0, whose exponent is ln phi itself, so the
 start skips a^T alpha, one of an evaluation's two passes over the block.
 
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
 from .errors import (
     DomainError,
     InfeasibleTargetError,
@@ -39,19 +40,6 @@ from .report import SolverReport
 BLOCK_BYTES = 1 << 19
 
 
-def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """ln sum_i exp(x_i) and the weights exp(x_i) / sum_j exp(x_j), from one shifted exp."""
-    shift = float(np.max(x))
-    if not np.isfinite(shift):
-        # all -inf gives -inf, any +inf gives +inf, a NaN stays NaN
-        return shift, np.full(x.shape, np.nan)
-    w = x - shift
-    np.exp(w, out=w)
-    total = float(w.sum())
-    w /= total
-    return shift + float(np.log(total)), w
-
-
 class ClassicalDistribution:
     """Nonnegative weights over a finite ordered set of states."""
 
@@ -63,11 +51,11 @@ class ClassicalDistribution:
             raise DomainError("weights must be finite")
         if np.any(arr < 0):
             raise DomainError("weights must be nonnegative")
-        total = float(arr.sum())
-        if total <= 0:
-            raise DomainError("total weight must be positive")
         self.weights = arr.copy()
         self.weights.setflags(write=False)
+        total = self.total
+        if total <= 0:
+            raise DomainError("total weight must be positive")
         self.normalized = abs(total - 1.0) <= 1e-12
 
     @property
@@ -76,12 +64,19 @@ class ClassicalDistribution:
 
     @property
     def total(self) -> float:
-        return float(self.weights.sum())
+        """The sum of the weights, inf where it is beyond the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
     def normalize(self) -> "ClassicalDistribution":
         if self.normalized:
             return self
-        return ClassicalDistribution(self.weights / self.total)
+        weights, total = self.weights, self.total
+        if total == np.inf:
+            # scaled by the largest weight, as dual._norm takes, the sum is finite
+            weights = weights / weights.max()
+            total = float(weights.sum())
+        return ClassicalDistribution(weights / total)
 
     def __repr__(self) -> str:
         return f"ClassicalDistribution(n={self.n}, normalized={self.normalized})"

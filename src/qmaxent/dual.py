@@ -2,13 +2,14 @@
 
 Both the classical and the quantum solver minimize G(alpha) = ln Z(alpha)
 - alpha.t, whose gradient is the residual vector <A> - t and whose
-Hessian is a covariance of the observables. They differ only in how ln Z,
-the means and the covariance are computed, which they hand to
-newton_dual.
+Hessian is a covariance of the observables. Both take ln Z and the Gibbs
+weights from logsumexp and differ only in how the means and the
+covariance are computed, which they hand to newton_dual.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 import numpy as np
@@ -23,6 +24,21 @@ ARMIJO = 1e-4
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
 STEP_SCALES = 0.5 ** np.arange(40)
 ROUNDING = 64 * np.finfo(float).eps
+
+
+def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """ln sum_i exp(x_i) and the weights exp(x_i) / sum_j exp(x_j), from one shifted exp."""
+    shift = float(x.max())
+    if not math.isfinite(shift):
+        # all -inf gives -inf, any +inf gives +inf, a NaN stays NaN
+        return shift, np.full(x.shape, np.nan)
+    # an entry whose difference overflows to -inf has weight 0, as it should
+    with np.errstate(over="ignore"):
+        w = x - shift
+    np.exp(w, out=w)
+    total = float(w.sum())
+    w /= total
+    return shift + float(np.log(total)), w
 
 
 def _norm(x: np.ndarray) -> float:

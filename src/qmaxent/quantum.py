@@ -8,8 +8,8 @@ Tr(rho(alpha) A_i) - t_i and whose Hessian is the Bogoliubov-Kubo-Mori
 covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
-line-search trial and none besides. The Gibbs weights are the shifted
-exponentials of its eigenvalues divided by their own sum, so they sum to
+line-search trial and none besides. Its eigenvalues give the Gibbs
+weights and ln Z through the classical solver's logsumexp, so they sum to
 1 whatever ln Z is. At the start, alpha = 0, C is ln phi, whose spectrum
 the prior's decomposition at construction gives; the posterior comes
 from the last one of C, so a solve runs no other. The observables are
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, _norm, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, _norm, logsumexp, newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
@@ -190,14 +190,9 @@ class _GibbsState(NamedTuple):
 
 
 def _gibbs(vals: np.ndarray, vecs: np.ndarray) -> _GibbsState:
-    """The Gibbs state of C = V diag(vals) V^dag, vals ascending, shifted against overflow."""
-    # a shifted eigenvalue that overflows to -inf has weight 0, as it should
-    with np.errstate(over="ignore"):
-        p = vals - vals[-1]
-    np.exp(p, out=p)
-    total = float(p.sum())
-    p /= total
-    return _GibbsState(vals, vecs, p, float(vals[-1] + np.log(total)), _spectral_matrix(vecs, p))
+    """The Gibbs state of C = V diag(vals) V^dag, whose ln Z and weights logsumexp gives."""
+    ln_z, p = logsumexp(vals)
+    return _GibbsState(vals, vecs, p, ln_z, _spectral_matrix(vecs, p))
 
 
 def _gibbs_at(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxent import classical
+from qmaxent import classical, dual, quantum
+from qmaxent.checks import check_prior_recovery, random_density_matrix, random_hermitian
 from qmaxent.classical import (
     ClassicalConstraint,
     ClassicalDistribution,
@@ -90,6 +91,25 @@ class TestClassicalDistribution:
     def test_normalize(self):
         d = ClassicalDistribution([2.0, 6.0]).normalize()
         np.testing.assert_allclose(d.weights, [0.25, 0.75])
+
+    def test_normalize_divides_by_the_plain_sum_where_it_is_finite(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+            w = scale * rng.uniform(0.1, 10.0, size=50)
+            np.testing.assert_array_equal(
+                ClassicalDistribution(w).normalize().weights, w / float(w.sum())
+            )
+
+    def test_weights_summing_beyond_the_float_range_normalize_without_overflow(self):
+        # the plain sum is inf: it used to warn, and normalize() divided by
+        # it and raised "total weight must be positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = ClassicalDistribution([1e308, 1e308])
+            assert not d.normalized
+            np.testing.assert_array_equal(d.normalize().weights, [0.5, 0.5])
+            result = check_prior_recovery(d)
+        assert result.passed, result
 
 
 class TestClassicalConstraint:
@@ -622,8 +642,9 @@ def test_constraints_and_solve_together_stay_within_one_and_three_quarter_blocks
 
 
 def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):
-    # one for the starting point and one per line-search trial; this
-    # planted problem takes four full Newton steps, so no halvings add to it
+    # one for the starting point and one per line-search trial, in both
+    # solvers, which share the normalizer; each planted problem takes four
+    # full Newton steps, so no halvings add to it
     rng = np.random.default_rng(5)
     n, m = 200, 4
     w = np.exp(0.5 * rng.normal(size=n))
@@ -633,17 +654,31 @@ def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):
     rho = np.exp(ln_w - ln_w.max())
     rho /= rho.sum()
     cons = [ClassicalConstraint(a[j], float(a[j] @ rho)) for j in range(m)]
+    # a quantum problem planted the same way, at dim 8 with m = 3
+    prior = random_density_matrix(rng, 8)
+    observables = [random_hermitian(rng, 8) for _ in range(3)]
+    q_beta = rng.normal(scale=0.2, size=3)
+    q_rho = quantum.posterior_from_multipliers(prior, observables, q_beta)
+    q_cons = [quantum.QuantumConstraint(o, quantum.expectation(q_rho, o)) for o in observables]
     calls = []
-    original = classical.logsumexp
+    original = dual.logsumexp
 
     def counting_logsumexp(x):
         calls.append(1)
         return original(x)
 
+    # where each solver looks the normalizer up
     monkeypatch.setattr(classical, "logsumexp", counting_logsumexp)
+    monkeypatch.setattr(quantum, "logsumexp", counting_logsumexp)
     report = solve_classical(ClassicalDistribution(w), cons)
     assert report.converged
     np.testing.assert_allclose(report.multipliers, beta, atol=1e-9)
+    assert report.iterations == 4
+    assert len(calls) == 1 + report.iterations
+    calls.clear()
+    report = quantum.solve_quantum(prior, q_cons)
+    assert report.converged
+    np.testing.assert_allclose(report.multipliers, q_beta, atol=1e-9)
     assert report.iterations == 4
     assert len(calls) == 1 + report.iterations
 

@@ -1,6 +1,6 @@
 """qmaxent imports numpy only and that lazily, each command loads only the
-modules it runs, its numpy logsumexp is exact to rounding, and the names the
-traced benchmark wraps exist."""
+modules it runs, its numpy logsumexp, shared by both solvers, is exact to
+rounding, and the names the traced benchmark wraps exist."""
 
 import importlib
 import math
@@ -182,6 +182,20 @@ class TestLogSumExp:
     def test_non_finite_maximum_passes_through(self):
         assert logsumexp(np.array([-np.inf, -np.inf]))[0] == -np.inf
         assert logsumexp(np.array([0.0, np.inf]))[0] == np.inf
+
+    def test_spread_beyond_the_float_range_gives_weight_zero_without_warning(self):
+        # -1e308 - 1e308 overflows to -inf, whose exp is the weight 0; the
+        # normalizer ignores that overflow itself, outside any solver
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ln_z, w = logsumexp(np.array([-1e308, 1e308]))
+        assert ln_z == 1e308
+        np.testing.assert_array_equal(w, [0.0, 1.0])
+
+    def test_is_the_one_normalizer_of_both_solvers(self):
+        from qmaxent import classical, dual, quantum
+
+        assert classical.logsumexp is dual.logsumexp is quantum.logsumexp
 
     @pytest.mark.parametrize("x", [[-np.inf, -np.inf], [0.0, np.inf], [0.0, np.nan]])
     def test_non_finite_maximum_gives_nan_weights_without_warning(self, x):

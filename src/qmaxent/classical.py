@@ -8,19 +8,25 @@ whose gradient is the residual vector and whose Hessian is the
 constraint covariance under the current iterate. Each evaluation takes
 one exp of the exponent shifted by its largest entry and divides it by
 its own sum (qmaxent.dual.logsumexp, which the quantum solver applies to
-the eigenvalues of C), so the weights sum to 1 whatever ln Z is. The
-iteration starts at alpha = 0, whose exponent is ln phi itself, so the
-start skips a^T alpha, one of an evaluation's two passes over the block.
+the eigenvalues of C), so the weights sum to 1 whatever ln Z is; it
+writes them over the exponent, so an evaluation makes one length-n
+vector. The iteration starts at alpha = 0, whose exponent is a copy of
+ln phi, so the start skips a^T alpha, one of an evaluation's two passes
+over the block.
 
-A constraint holds a read-only view of its values, not a copy. A solve
-holds its one stacked copy of them, the m x n constraint block, which it
-checks row by row, plus one cache-sized (m, cols) buffer and a few
-length-n vectors. The Hessian is added up block by block in that
-buffer, so no Newton step makes an m x n temporary.
+A distribution holds a read-only view of its weights and a constraint
+one of its values, not copies; a solve checks both where it reads them.
+A solve holds its one stacked copy of the values, the m x n constraint
+block, which it checks row by row, plus ln phi, one Gibbs weight vector
+at a time and one cache-sized (m, cols) buffer with its (cols,) row of
+sqrt(rho): the block and two length-n vectors. The Hessian is added up
+block by block in that buffer, so no Newton step makes an m x n
+temporary, and the posterior keeps the last weight vector, not a copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,23 +46,48 @@ from .report import SolverReport
 BLOCK_BYTES = 1 << 19
 
 
+def _finite_range(arr: np.ndarray, what: str) -> tuple[float, float]:
+    """The smallest and largest entry of arr, which must be finite; no temporary is made."""
+    # the extremes are NaN if any entry is, and infinite if any entry is
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{what} must be finite")
+    return lo, hi
+
+
 class ClassicalDistribution:
-    """Nonnegative weights over a finite ordered set of states."""
+    """Nonnegative weights over a finite ordered set of states.
+
+    weights is a read-only view of the array given, not a copy, as
+    ClassicalConstraint.values is: a float64 array shares its memory, so
+    later writes to it show through here. solve_classical checks the
+    prior weights it reads.
+    """
 
     def __init__(self, weights):
-        arr = np.asarray(weights, dtype=float)
+        # a view, so that freezing it leaves the caller's array writable
+        arr = np.asarray(weights, dtype=float).view()
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"weights must be a nonempty vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("weights must be finite")
-        if np.any(arr < 0):
+        lo, hi = _finite_range(arr, "weights")
+        if lo < 0:
             raise DomainError("weights must be nonnegative")
-        self.weights = arr.copy()
-        self.weights.setflags(write=False)
-        total = self.total
-        if total <= 0:
+        # finite nonnegative weights sum to at least the largest
+        if hi == 0:
             raise DomainError("total weight must be positive")
-        self.normalized = abs(total - 1.0) <= 1e-12
+        self._setup(arr)
+
+    @classmethod
+    def _from_weights(cls, weights: np.ndarray) -> "ClassicalDistribution":
+        """The solver's own Gibbs weights, finite and summing to 1, kept as they are."""
+        dist = cls.__new__(cls)
+        dist._setup(weights)
+        return dist
+
+    def _setup(self, weights: np.ndarray) -> None:
+        weights.setflags(write=False)
+        self.weights = weights
+        self.normalized = abs(self.total - 1.0) <= 1e-12
 
     @property
     def n(self) -> int:
@@ -100,8 +131,7 @@ class ClassicalConstraint:
         arr = np.asarray(self.values, dtype=float).view()
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"constraint values must be a nonempty vector, got shape {arr.shape}")
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise DomainError("constraint values must be finite")
+        _finite_range(arr, "constraint values")
         if not np.isfinite(self.target):
             raise DomainError("constraint target must be finite")
         arr.setflags(write=False)
@@ -137,10 +167,12 @@ def relative_entropy(
 def _check_problem(
     prior: ClassicalDistribution, constraints: Sequence[ClassicalConstraint]
 ) -> tuple[np.ndarray, np.ndarray]:
-    if np.any(prior.weights == 0):
+    # the prior and each constraint are views that show later writes to
+    # their arrays, so what the solve reads is checked here
+    if _finite_range(prior.weights, "prior weights")[0] <= 0:
         raise DomainError("prior must be strictly positive entrywise")
     # the solve's one copy of the values; each row is checked after it is
-    # copied, since a constraint's view shows later writes to its array
+    # copied
     a = np.empty((len(constraints), prior.n))
     for k, c in enumerate(constraints):
         if c.values.size != prior.n:
@@ -148,10 +180,7 @@ def _check_problem(
                 f"constraint {k} has {c.values.size} values for {prior.n} states"
             )
         a[k] = c.values
-        # the extremes are NaN if any value is, and infinite if any value is
-        lo, hi = float(a[k].min()), float(a[k].max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise DomainError(f"constraint {k}: values must be finite")
+        lo, hi = _finite_range(a[k], f"constraint {k}: values")
         if not (lo < c.target < hi):
             raise InfeasibleTargetError(
                 f"constraint {k}: target {c.target!r} is not strictly inside "
@@ -167,18 +196,19 @@ def _covariance(
 
     Each block of columns is centered and scaled by sqrt(rho) into the
     (m, cols) buffer, whose Gram product is added to the result; so the
-    covariance stays positive semidefinite by construction, and no
-    m x n temporary is made.
+    covariance stays positive semidefinite by construction, and neither
+    an m x n temporary nor a length-n sqrt(rho) is made.
     """
     m, n = a.shape
     cols = block.shape[1]
-    root = np.sqrt(rho)
+    root = np.empty(cols)
     hess = np.zeros((m, m))
     for s in range(0, n, cols):
         e = min(s + cols, n)
-        b = block[:, : e - s]
+        b, r = block[:, : e - s], root[: e - s]
         np.subtract(a[:, s:e], means[:, None], out=b)
-        b *= root[s:e]
+        np.sqrt(rho[s:e], out=r)
+        b *= r
         hess += b @ b.T
     return hess
 
@@ -204,8 +234,9 @@ def solve_classical(
     ln_phi = np.log(prior.weights)
 
     def point(ln_w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
-        # the one logsumexp per dual evaluation: rho, ln Z and the means,
-        # which the covariance reads back instead of forming a @ rho again
+        # the one logsumexp per dual evaluation: rho, written over ln_w,
+        # ln Z and the means, which the covariance reads back instead of
+        # forming a @ rho again
         ln_z, rho = logsumexp(ln_w)
         means = a @ rho
         return (rho, means), ln_z, means - t
@@ -216,14 +247,16 @@ def solve_classical(
         # gradient is not finite, and an exponent of -inf only makes a
         # weight 0, so that overflow is no error
         with np.errstate(over="ignore", invalid="ignore"):
-            return point(ln_phi + a.T @ alpha)
+            ln_w = a.T @ alpha
+            ln_w += ln_phi
+            return point(ln_w)
 
     block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * max(m, 1))))))
     return newton_dual(
-        lambda: point(ln_phi), t, evaluate,
+        lambda: point(ln_phi.copy()), t, evaluate,
         lambda state: _covariance(a, *state, block),
         # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
         lambda state: 0.0,
         lambda d: d @ a,
-        lambda state: ClassicalDistribution(state[0]), tol, max_iter,
+        lambda state: ClassicalDistribution._from_weights(state[0]), tol, max_iter,
     )

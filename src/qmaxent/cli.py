@@ -67,13 +67,17 @@ def run_update(path: str, out_path: str | None = None) -> int:
     except OSError as exc:
         _say(f"error: {exc}")
         return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        _say(f"error: {path}: {exc}")
+        return EXIT_ERROR
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _say(f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         return EXIT_ERROR
-    except ValueError as exc:
-        # an integer with more digits than int() converts from text
+    except (ValueError, RecursionError) as exc:
+        # an integer with more digits than int() converts from text, or
+        # arrays nested deeper than the decoder's recursion limit
         _say(f"error: {path}: {exc}")
         return EXIT_ERROR
     try:

@@ -27,18 +27,23 @@ ROUNDING = 64 * np.finfo(float).eps
 
 
 def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """ln sum_i exp(x_i) and the weights exp(x_i) / sum_j exp(x_j), from one shifted exp."""
+    """ln sum_i exp(x_i) and the weights exp(x_i) / sum_j exp(x_j), from one shifted exp.
+
+    The weights are written over x, a float array, which is returned as
+    them: a caller that needs x afterwards passes a copy.
+    """
     shift = float(x.max())
     if not math.isfinite(shift):
         # all -inf gives -inf, any +inf gives +inf, a NaN stays NaN
-        return shift, np.full(x.shape, np.nan)
+        x.fill(np.nan)
+        return shift, x
     # an entry whose difference overflows to -inf has weight 0, as it should
     with np.errstate(over="ignore"):
-        w = x - shift
-    np.exp(w, out=w)
-    total = float(w.sum())
-    w /= total
-    return shift + float(np.log(total)), w
+        x -= shift
+    np.exp(x, out=x)
+    total = float(x.sum())
+    x /= total
+    return shift + float(np.log(total)), x
 
 
 def _norm(x: np.ndarray) -> float:
@@ -91,6 +96,12 @@ def newton_dual(
     evaluate runs only for line-search trials. start is a callable, not
     the triple, so that no caller's frame holds the starting state, for a
     classical problem one more length-n vector, until the solve returns.
+    The driver holds one state at a time: it drops the accepted state once
+    the step and the line search's noise bound are computed, and each
+    rejected trial before it evaluates the next, so a classical solve
+    holds one Gibbs weight vector, not two. Where the line search
+    stalls, the posterior's state is built again, by start() if no step
+    was taken and else by evaluate(alpha); both are deterministic.
     hessian(state) is the covariance of the observables in that state;
     ROUNDING * magnitude(state) bounds the rounding error of ln Z beyond that
     of |ln Z| itself (for a quantum problem, the eigenvalue solve's, which
@@ -111,6 +122,8 @@ def newton_dual(
     alpha = np.zeros(len(targets))
     targets_norm = _norm(targets)
     state, ln_z, grad = start()
+    # what state holds from the first trial until one is accepted
+    dropped = object()
     steps = 0
     stop = None
     while float(np.max(np.abs(grad), initial=0.0)) > tol:
@@ -127,8 +140,12 @@ def newton_dual(
         g0 = ln_z - float(alpha @ targets)
         noise = ROUNDING * (abs(ln_z) + magnitude(state) + _norm(alpha) * targets_norm)
         grad_norm = float(np.linalg.norm(grad))
+        # one state at a time: the accepted one is dropped before the
+        # first trial, and each rejected trial before the next
+        state = dropped
         for scale in STEP_SCALES:
             cand = alpha + scale * step
+            cand_state = None
             cand_state, cand_ln_z, cand_grad = evaluate(cand)
             if -scale * slope > noise:
                 with np.errstate(over="ignore"):
@@ -144,6 +161,11 @@ def newton_dual(
         steps += 1
     if stop:
         _certify(null, alpha, spectrum, targets, tol, stop)
+    if state is dropped:
+        # the line search stalled after dropping the accepted state; both
+        # builders are deterministic, so this is that state again
+        cand_state = None
+        state = (start() if steps == 0 else evaluate(alpha))[0]
     return SolverReport(
         multipliers=alpha,
         log_partition=ln_z,

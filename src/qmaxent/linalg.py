@@ -53,7 +53,9 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max |M - M^dag| = {drift:.3e} "
                 f"exceeds tolerance {HERMITICITY_TOL:.0e} times max |M_ij| = {scale:.3e}"
             )
-        self._matrix = (arr + adj) * 0.5
+        # halved before they are added, so that entries near the float
+        # range do not overflow; exact where the halves are normal numbers
+        self._matrix = arr * 0.5 + adj * 0.5
         self._matrix.setflags(write=False)
 
     @property

@@ -191,7 +191,8 @@ class _GibbsState(NamedTuple):
 
 def _gibbs(vals: np.ndarray, vecs: np.ndarray) -> _GibbsState:
     """The Gibbs state of C = V diag(vals) V^dag, whose ln Z and weights logsumexp gives."""
-    ln_z, p = logsumexp(vals)
+    # logsumexp writes the weights over its argument; the state keeps vals
+    ln_z, p = logsumexp(vals.copy())
     return _GibbsState(vals, vecs, p, ln_z, _spectral_matrix(vecs, p))
 
 
@@ -288,7 +289,9 @@ def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
     eigvalsh reports. For d = 1 the bracket is empty.
     """
     diag = a.diagonal().real
-    mid = (diag[:, None] + diag[None, :]) / 2.0
+    # halved before they are added, so that entries near the float range
+    # do not overflow; exact where the halves are normal numbers
+    mid = diag[:, None] / 2.0 + diag[None, :] / 2.0
     radius = np.abs(a)
     slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * _norm(radius)
     # |A_jj| is no radius: e_j alone gives A_jj

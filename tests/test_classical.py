@@ -100,6 +100,22 @@ class TestClassicalDistribution:
                 ClassicalDistribution(w).normalize().weights, w / float(w.sum())
             )
 
+    def test_weights_are_a_read_only_view_that_leaves_the_callers_array_writable(self):
+        # the distribution used to keep its own copy, one more length-n
+        # vector beside the solve's
+        arr = np.array([1.0, 2.0, 3.0])
+        d = ClassicalDistribution(arr)
+        assert arr.flags.writeable
+        assert not d.weights.flags.writeable
+        assert np.shares_memory(d.weights, arr)
+        arr[0] = 0.5
+        assert d.weights[0] == 0.5
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_weights(self, bad):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            ClassicalDistribution([1.0, bad])
+
     def test_weights_summing_beyond_the_float_range_normalize_without_overflow(self):
         # the plain sum is inf: it used to warn, and normalize() divided by
         # it and raised "total weight must be positive"
@@ -258,6 +274,34 @@ class TestSolveClassical:
         arr[1] = np.nan
         with pytest.raises(DomainError, match="constraint 0: values must be finite"):
             solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.0, "prior must be strictly positive entrywise"),
+            (-1.0, "prior must be strictly positive entrywise"),
+            (np.nan, "prior weights must be finite"),
+            (np.inf, "prior weights must be finite"),
+        ],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_prior_weight_written_after_construction_is_rejected_by_the_solve(self, bad, message):
+        # the prior is a view of arr, as a constraint is of its values
+        arr = np.array([1.0, 1.0, 1.0])
+        prior = ClassicalDistribution(arr)
+        arr[1] = bad
+        with pytest.raises(DomainError, match=message):
+            solve_classical(prior, [ClassicalConstraint([1.0, 2.0, 3.0], 2.5)])
+
+    def test_posterior_holds_the_solves_last_weights_read_only(self):
+        report = solve_classical(
+            ClassicalDistribution([1.0, 1.0, 1.0]), [ClassicalConstraint([1.0, 2.0, 3.0], 2.5)]
+        )
+        weights = report.posterior.weights
+        assert report.posterior.normalized
+        assert not weights.flags.writeable
+        # its own array, not a view of another
+        assert weights.base is None
 
     def test_range_is_taken_from_the_values_at_solve_time(self):
         arr = np.array([1.0, 2.0, 3.0])
@@ -639,6 +683,33 @@ def test_constraints_and_solve_together_stay_within_one_and_three_quarter_blocks
         tracemalloc.stop()
     assert report.converged
     assert peak <= 1.75 * a.nbytes
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_prior_and_solve_stay_within_the_block_and_three_length_n_vectors(m):
+    # the block, ln phi and one Gibbs weight vector, plus the (m, cols)
+    # buffer and its row of sqrt(rho); a prior that copied its weights, a
+    # second live weight vector during the line search, the trial
+    # exponent beside logsumexp's own shifted copy and a length-n sqrt(rho)
+    # made this the block plus 5.33 vectors
+    rng = np.random.default_rng(7)
+    n = 200_000
+    w = np.exp(0.5 * rng.normal(size=n))
+    a = rng.normal(size=(m, n))
+    beta = rng.normal(scale=0.1, size=m)
+    ln_w = np.log(w) + a.T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    targets = a @ rho
+    cons = [ClassicalConstraint(a[j], float(targets[j])) for j in range(m)]
+    tracemalloc.start()
+    try:
+        report = solve_classical(ClassicalDistribution(w), cons)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= a.nbytes + 3 * w.nbytes
 
 
 def test_logsumexp_calls_are_one_per_dual_evaluation(monkeypatch):

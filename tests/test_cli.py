@@ -125,6 +125,25 @@ class TestUpdate:
         assert "line 1" in err
         assert "column" in err
 
+    def test_file_that_is_not_utf8_exits_error(self, tmp_path, capsys):
+        # UnicodeDecodeError from the read left through the interpreter's handler
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff")
+        assert main(["update", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_nesting_beyond_the_recursion_limit_exits_error(self, tmp_path, capsys):
+        # json.loads raises RecursionError, which left through the
+        # interpreter's handler
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["update", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["update", str(tmp_path / "absent.json")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

@@ -284,3 +284,65 @@ def test_zero_constraint_quantum_solve_runs_no_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     report = solve_quantum(prior, [])
     assert report.converged and report.iterations == 0
+
+
+class TestOneStateAtATime:
+    """newton_dual holds one state: a classical one is a length-n weight vector.
+
+    G(alpha) = alpha^2 / 2 - alpha with a Hessian of 2 is given a half
+    Newton step, so the first trial, alpha = 0.5, is accepted unconverged.
+    Every other trial has a non-finite ln Z and gradient, so the line search
+    of the next step stalls, or that of the first where first_ok is False.
+    """
+
+    class State:
+        live = 0
+
+        def __init__(self, origin):
+            self.origin = origin
+            type(self).live += 1
+
+        def __del__(self):
+            type(self).live -= 1
+
+    def _solve(self, first_ok):
+        state_type = self.State
+        calls, live_at_evaluate = [], []
+
+        def start():
+            calls.append("start")
+            return state_type("start"), 0.0, np.array([-1.0])
+
+        def evaluate(alpha):
+            calls.append(float(alpha[0]))
+            live_at_evaluate.append(state_type.live)
+            if first_ok and alpha[0] == 0.5:
+                return state_type(0.5), 0.125, alpha - 1.0
+            return state_type(float(alpha[0])), np.inf, np.array([np.nan])
+
+        report = newton_dual(
+            start, np.array([1.0]), evaluate, lambda state: 2 * np.eye(1),
+            lambda state: 0.0, lambda d: np.array([10.0]), lambda state: state.origin,
+            1e-12, 10,
+        )
+        return report, calls, live_at_evaluate
+
+    def test_no_state_is_alive_when_a_trial_is_evaluated(self):
+        _, calls, live = self._solve(first_ok=True)
+        assert len(calls) == 1 + 1 + 40 + 1
+        # the rebuild at the end runs after the stall dropped every trial
+        assert live == [0] * (len(calls) - 1)
+
+    def test_stall_after_a_step_rebuilds_the_accepted_state_by_evaluate(self):
+        report, calls, _ = self._solve(first_ok=True)
+        assert not report.converged and report.iterations == 1
+        assert report.multipliers[0] == 0.5
+        assert calls[-1] == 0.5 and calls.count("start") == 1
+        assert report.posterior == 0.5
+        assert self.State.live == 0
+
+    def test_stall_at_the_start_rebuilds_the_start_state(self):
+        report, calls, _ = self._solve(first_ok=False)
+        assert not report.converged and report.iterations == 0
+        assert calls[0] == calls[-1] == "start" and len(calls) == 1 + 40 + 1
+        assert report.posterior == "start"

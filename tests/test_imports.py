@@ -146,17 +146,20 @@ def fsum_reference(x) -> float:
 
 class TestLogSumExp:
     def test_matches_direct_formula_on_moderate_inputs(self):
+        # references are taken before the call, which writes the weights over x
         x = np.random.default_rng(5).normal(scale=3.0, size=200)
+        reference = float(np.log(np.sum(np.exp(x))))
         ln_z, _ = logsumexp(x)
-        assert ln_z == pytest.approx(float(np.log(np.sum(np.exp(x)))), rel=1e-14)
+        assert ln_z == pytest.approx(reference, rel=1e-14)
 
     def test_weights_sum_to_one_and_match_the_shifted_formula(self):
         # the weights are the one exp divided by its own sum, not a second
         # exp(x - ln Z), whose sum is off by about eps |ln Z|
         x = np.random.default_rng(5).normal(scale=3.0, size=200)
+        x_before = x.copy()
         ln_z, w = logsumexp(x)
         assert abs(float(w.sum()) - 1.0) <= 4 * np.finfo(float).eps
-        np.testing.assert_allclose(w, np.exp(x - ln_z), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(w, np.exp(x_before - ln_z), rtol=1e-14, atol=0)
 
     def test_large_equal_entries_do_not_overflow(self):
         assert logsumexp(np.array([1000.0, 1000.0]))[0] == pytest.approx(
@@ -166,7 +169,8 @@ class TestLogSumExp:
     @pytest.mark.parametrize("lo, hi", [(-745.0, -5.0), (-2000.0, -700.0), (-60.0, -0.5)])
     def test_wide_negative_range_matches_exact_sum(self, lo, hi):
         x = np.linspace(lo, hi, 1001)
-        assert logsumexp(x)[0] == pytest.approx(fsum_reference(x.tolist()), rel=1e-15)
+        reference = fsum_reference(x.tolist())
+        assert logsumexp(x)[0] == pytest.approx(reference, rel=1e-15)
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -191,6 +195,23 @@ class TestLogSumExp:
             ln_z, w = logsumexp(np.array([-1e308, 1e308]))
         assert ln_z == 1e308
         np.testing.assert_array_equal(w, [0.0, 1.0])
+
+    def test_weights_are_written_over_x(self):
+        # so that a classical evaluation makes one length-n vector, not two
+        x = np.random.default_rng(7).normal(size=50)
+        _, w = logsumexp(x)
+        assert w is x
+        assert abs(float(x.sum()) - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_quantum_gibbs_keeps_the_eigenvalues_it_stores(self):
+        # the BKM kernel's gaps and the rounding magnitude read state.vals
+        from qmaxent import quantum
+
+        vals = np.array([-1.5, 0.25, 2.0])
+        state = quantum._gibbs(vals, np.eye(3, dtype=complex))
+        assert state.vals is vals
+        np.testing.assert_array_equal(vals, [-1.5, 0.25, 2.0])
+        assert not np.shares_memory(state.p, vals)
 
     def test_is_the_one_normalizer_of_both_solvers(self):
         from qmaxent import classical, dual, quantum

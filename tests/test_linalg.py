@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,20 @@ class TestHermitianOperator:
         m[0, 1], m[1, 0] = 5e-324, 1.5e-323
         expected = (m + m.conj().T) / 2.0
         assert HermitianOperator(m).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+         np.array([[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]])],
+        ids=["real", "complex"],
+    )
+    def test_entries_near_the_float_range_symmetrize_without_overflow(self, m):
+        # (M + M^dag) * 0.5 overflowed to inf here, and to NaN off the diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = HermitianOperator(m)
+        assert np.isfinite(op.matrix).all()
+        np.testing.assert_array_equal(op.matrix, m)
 
     def test_rejects_large_drift(self):
         with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from qmaxent.quantum import (
     DensityMatrix,
     QuantumConstraint,
     _bkm_covariance,
+    _check_feasible,
     _gibbs_at,
     _rayleigh_bracket,
     expectation,
@@ -280,6 +281,15 @@ class TestRayleighBracket:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleTargetError, match="spectral range"):
                 solve_quantum(DensityMatrix(np.eye(2) / 2), [QuantumConstraint(observable, 2e200)])
+
+    def test_observable_near_the_float_range_is_feasible_without_overflow(self):
+        # its spectrum is +-1.414e308; the halved sums of the operator and
+        # of the bracket's midpoints overflowed, and the solve reported the
+        # spectral range (nan, nan)
+        observable = HermitianOperator(1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_feasible([QuantumConstraint(observable, 0.1)], 2)
 
     @pytest.mark.parametrize("target", [1.0, -1.0])
     def test_target_at_diagonal_extreme_is_infeasible(self, target):

@@ -13,12 +13,12 @@ weights and ln Z through the classical solver's logsumexp, so they sum to
 1 whatever ln Z is. At the start, alpha = 0, C is ln phi, whose spectrum
 the prior's decomposition at construction gives; the posterior comes
 from the last one of C, so a solve runs no other. The observables are
-stacked once per solve as an (m, d^2) array, so C and the m means are
+read once per solve, into an (m, d^2) stack, so C and the m means are
 one matrix-vector product each and the Hessian is one Gram product of
-the rotated, kernel-scaled observables. Feasibility of each target is
-decided by a bracket of Rayleigh quotients, with an eigenvalue solve
-only where the bracket cannot tell. The Newton iteration itself is
-qmaxent.dual.newton_dual, shared with the classical solver.
+the rotated, kernel-scaled observables. One bracket of Rayleigh quotients
+over all rows decides each target's feasibility, with an eigenvalue
+solve only where a row's bracket cannot tell. The Newton iteration
+itself is qmaxent.dual.newton_dual, shared with the classical solver.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, _norm, logsumexp, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
@@ -162,10 +162,12 @@ def _relative_entropy_to_log(rho: DensityMatrix, ln_phi: np.ndarray, variant: st
 
 
 def _stack(observables: Sequence[HermitianOperator], dim: int) -> np.ndarray:
-    """The observables as rows of an (m, dim^2) array."""
-    return np.array([obs.matrix for obs in observables], dtype=complex).reshape(
-        len(observables), dim * dim
-    )
+    """The observables as rows of an (m, dim^2) array, each matrix read once."""
+    matrices = [obs.matrix for obs in observables]
+    for k, a in enumerate(matrices):
+        if len(a) != dim:
+            raise ShapeError(f"observable {k} has dim {len(a)}, prior has dim {dim}")
+    return np.array(matrices, dtype=complex).reshape(len(matrices), dim * dim)
 
 
 def _exponent(ln_phi: np.ndarray, flat: np.ndarray, alphas) -> np.ndarray:
@@ -212,9 +214,6 @@ def _gibbs_at(
             "multipliers must be finite, got "
             + ", ".join(f"alpha[{i}] = {float(alphas[i])!r}" for i in bad)
         )
-    for obs in observables:
-        if obs.dim != phi.dim:
-            raise ShapeError(f"observable dim {obs.dim} does not match prior dim {phi.dim}")
     return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
 
 
@@ -276,45 +275,41 @@ def log_partition(
     return _gibbs_at(phi, observables, alphas).ln_z
 
 
-def _rayleigh_bracket(a: np.ndarray) -> tuple[float, float]:
-    """Bounds lo and hi with lambda_min(A) <= lo and hi <= lambda_max(A), from O(d^2) work.
+def _spectral_brackets(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lambda_min(A_i) <= lo_i and hi_i <= lambda_max(A_i) for each row of the stack.
 
     Every unit vector v has lambda_min <= v^dag A v <= lambda_max. The
     vector e_j gives A_jj, and for j != k, (e_j + e^{i theta} e_k)/sqrt 2
-    with a suitable phase theta gives (A_jj + A_kk)/2 -+ |A_jk|. The
-    extremes of these quotients are pulled in by BRACKET_SLACK d eps |A|_F,
-    an allowance well above the rounding of this computation and of
-    eigvalsh (whose error is a small multiple of eps |A|_2), so a target
-    strictly inside (lo, hi) is strictly inside the spectral range that
-    eigvalsh reports. For d = 1 the bracket is empty.
+    with a suitable phase theta gives (A_jj + A_kk)/2 -+ |A_jk|. A row's
+    extremes of these quotients are pulled in by its BRACKET_SLACK d^2 eps
+    max|A_jk| >= BRACKET_SLACK d eps |A|_F, an allowance well above the
+    rounding of this computation and of eigvalsh (whose error is a small
+    multiple of eps |A|_2), so a target strictly inside (lo, hi) is
+    strictly inside the spectral range that eigvalsh reports. Taken from
+    the largest entry, the slack cannot overflow, so the bracket decides
+    at every finite scale. For d = 1 it is empty.
     """
-    diag = a.diagonal().real
+    diag = flat[:, :: dim + 1].real
     # halved before they are added, so that entries near the float range
     # do not overflow; exact where the halves are normal numbers
-    mid = diag[:, None] / 2.0 + diag[None, :] / 2.0
-    radius = np.abs(a)
-    slack = BRACKET_SLACK * len(diag) * np.finfo(float).eps * _norm(radius)
+    mid = (diag[:, :, None] / 2.0 + diag[:, None, :] / 2.0).reshape(flat.shape)
+    radius = np.abs(flat)
+    slack = BRACKET_SLACK * dim * dim * np.finfo(float).eps * radius.max(axis=1)
     # |A_jj| is no radius: e_j alone gives A_jj
-    np.fill_diagonal(radius, 0.0)
-    return float((mid - radius).min()) + slack, float((mid + radius).max()) - slack
+    radius[:, :: dim + 1] = 0.0
+    return (mid - radius).min(axis=1) + slack, (mid + radius).max(axis=1) - slack
 
 
-def _check_feasible(constraints: Sequence[QuantumConstraint], dim: int) -> None:
-    for k, c in enumerate(constraints):
-        if c.observable.dim != dim:
-            raise ShapeError(
-                f"constraint {k} has dim {c.observable.dim}, prior has dim {dim}"
-            )
-        lo, hi = _rayleigh_bracket(c.observable.matrix)
-        if lo < c.target < hi:
-            continue
-        # the bracket cannot decide; the spectrum decides exactly
-        spec = np.linalg.eigvalsh(c.observable.matrix)
-        lo, hi = float(spec[0]), float(spec[-1])
-        if not (lo < c.target < hi):
+def _check_feasible(flat: np.ndarray, targets: np.ndarray, dim: int) -> None:
+    lo, hi = _spectral_brackets(flat, dim)
+    # where a bracket cannot decide, the spectrum decides exactly
+    for k in np.flatnonzero(~((lo < targets) & (targets < hi))):
+        spec = np.linalg.eigvalsh(flat[k].reshape(dim, dim))
+        lo_k, hi_k, target = float(spec[0]), float(spec[-1]), float(targets[k])
+        if not (lo_k < target < hi_k):
             raise InfeasibleTargetError(
-                f"constraint {k}: target {c.target!r} is not strictly inside "
-                f"the spectral range ({lo!r}, {hi!r})"
+                f"constraint {k}: target {target!r} is not strictly inside "
+                f"the spectral range ({lo_k!r}, {hi_k!r})"
             )
 
 
@@ -326,20 +321,23 @@ def solve_quantum(
 ) -> SolverReport:
     """Multipliers and posterior for a quantum constrained update.
 
-    The prior must be full rank and normalized. Targets must lie strictly
-    inside each observable's spectral range. A jointly infeasible target
-    set raises InfeasibleTargetError once the Newton iteration stops
-    short of convergence and a direction separating the targets from
-    every state certifies it (qmaxent.dual). Without a certificate the
-    report says converged=False.
+    The prior must be full rank and normalized, and every observable of
+    its dimension, which reading them into one stack checks before any
+    target's range. Targets must lie strictly inside each observable's
+    spectral range, which one bracket of all stacked rows decides at every
+    finite scale, as each row's slack comes from its largest entry. A
+    jointly infeasible target set raises InfeasibleTargetError once the
+    Newton iteration stops short of convergence and a direction
+    separating the targets from every state certifies it (qmaxent.dual).
+    Without a certificate the report says converged=False.
     """
     _require_full_rank(prior, "prior")
     if not prior.normalized:
         raise DomainError("prior must be normalized (unit trace)")
     constraints = list(constraints)
-    _check_feasible(constraints, prior.dim)
     flat = _stack([c.observable for c in constraints], prior.dim)
     targets = np.array([c.target for c in constraints])
+    _check_feasible(flat, targets, prior.dim)
     ln_phi = _log(prior)
 
     def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:

@@ -269,9 +269,11 @@ class TestPosteriorFromMultipliers:
 
     @pytest.mark.parametrize("entry", [posterior_from_multipliers, log_partition])
     def test_observable_dimension_mismatch(self, entry):
+        # the one dims message of the stack, which names the observable's index
         phi = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ShapeError, match="observable dim 3 does not match prior dim 2"):
-            entry(phi, [HermitianOperator(np.eye(3))], [0.1])
+        observables = [HermitianOperator(PAULI_Z), HermitianOperator(np.eye(3))]
+        with pytest.raises(ShapeError, match=r"^observable 1 has dim 3, prior has dim 2$"):
+            entry(phi, observables, [0.1, 0.2])
 
 
 class TestLogPartition:
@@ -383,10 +385,16 @@ class TestSolveQuantum:
             QuantumConstraint(np.eye(2), target)
 
     def test_constraint_dimension_mismatch(self):
+        # every observable is read into the stack before any target's range
+        # is decided, so constraint 1's shape error wins over constraint 0's
+        # infeasible target
         prior = DensityMatrix(np.eye(2) / 2)
-        constraint = QuantumConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)
-        with pytest.raises(ShapeError, match="constraint 0 has dim 3, prior has dim 2"):
-            solve_quantum(prior, [constraint])
+        constraints = [
+            QuantumConstraint(PAULI_Z, 2.0),
+            QuantumConstraint(np.diag([0.0, 1.0, 2.0]), 1.0),
+        ]
+        with pytest.raises(ShapeError, match=r"^observable 1 has dim 3, prior has dim 2$"):
+            solve_quantum(prior, constraints)
 
     def test_rank_deficient_prior_rejected(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,8 @@ from qmaxent.quantum import (
     _bkm_covariance,
     _check_feasible,
     _gibbs_at,
-    _rayleigh_bracket,
+    _spectral_brackets,
+    _stack,
     expectation,
     posterior_from_multipliers,
     solve_quantum,
@@ -151,6 +152,20 @@ def test_eigh_calls_are_one_per_dual_evaluation(monkeypatch):
     assert len(spectra) == 0
 
 
+def test_solve_reads_each_observable_matrix_once(monkeypatch):
+    # the stack is the one place that reads the observables: the range
+    # check and the solve work on it (the per-matrix bracket read them again)
+    prior, cons, _ = planted_problem(3, dim=16, m=8)
+    reads = []
+    matrix = HermitianOperator.matrix.fget
+    monkeypatch.setattr(
+        HermitianOperator, "matrix", property(lambda self: reads.append(self) or matrix(self))
+    )
+    assert solve_quantum(prior, cons).converged
+    assert len(reads) == len(cons)
+    assert {id(op) for op in reads} == {id(c.observable) for c in cons}
+
+
 class TestStallCertificate:
     """Targets outside the Bloch ball whose Newton iteration stalls below the norm guard.
 
@@ -240,13 +255,13 @@ def test_small_observable_feasible_target_is_not_called_infeasible(s):
 
 
 @st.composite
-def hermitian_matrices(draw):
+def hermitian_matrices(
+    draw, dims=st.integers(1, 6), entries=st.floats(-100.0, 100.0, allow_subnormal=False)
+):
     """General, diagonal, degenerate and 1 x 1 Hermitian matrices."""
-    dim = draw(st.integers(1, 6))
+    dim = draw(dims)
     kind = draw(st.sampled_from(["general", "diagonal", "degenerate"]))
-    entries = st.lists(
-        st.floats(-100.0, 100.0, allow_subnormal=False), min_size=dim * dim, max_size=dim * dim
-    )
+    entries = st.lists(entries, min_size=dim * dim, max_size=dim * dim)
     g = np.array(draw(entries)).reshape(dim, dim) + 1j * np.array(draw(entries)).reshape(dim, dim)
     if kind == "general":
         return (g + g.conj().T) / 2.0
@@ -259,20 +274,59 @@ def hermitian_matrices(draw):
     return (a + a.conj().T) / 2.0
 
 
+@st.composite
+def scaled_stacks(draw):
+    """2 to 4 Hermitian matrices of one dim, each times its own 2^k, k in [-500, 500].
+
+    The entries are multiples of 2^-10 below 2^10, so every scaled entry
+    is a normal number and the scaling is exact.
+    """
+    dims = st.just(draw(st.integers(1, 6)))
+    entries = st.integers(-(2**20), 2**20).map(lambda n: n / 2.0**10)
+    matrices = draw(st.lists(hermitian_matrices(dims, entries), min_size=2, max_size=4))
+    return [2.0 ** draw(st.integers(-500, 500)) * a for a in matrices]
+
+
+def brackets(matrices):
+    """The brackets of equal-dim matrices, stacked as the solver stacks them."""
+    dim = len(matrices[0])
+    flat = _stack([HermitianOperator(a) for a in matrices], dim)
+    return _spectral_brackets(flat, dim)
+
+
 # the slack |A|_F squared these entries to 0, so the bracket was exactly
 # (-x, x), outside eigvalsh's +-8.555204611196906e-163
 TINY = 8.555204611196907e-163
+# its eigvalsh spectrum is one ulp inside its Rayleigh quotients +-x
+TINY_ROTATION = np.array([[0, -1j * TINY], [1j * TINY, 0]])
 
 
 class TestRayleighBracket:
     @settings(max_examples=300, deadline=None)
     @given(hermitian_matrices())
-    @example(np.array([[0, -1j * TINY], [1j * TINY, 0]]))
+    @example(TINY_ROTATION)
     def test_bracket_lies_inside_spectral_range(self, a):
-        lo, hi = _rayleigh_bracket(a)
+        (lo,), (hi,) = brackets([a])
         spec = np.linalg.eigvalsh(a)
         assert spec[0] <= lo
         assert hi <= spec[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_stacks())
+    @example([2.0**-100 * TINY_ROTATION, 2.0**500 * PAULI_Z])
+    @example([2.0**500 * PAULI_Z, 2.0**-100 * TINY_ROTATION, np.eye(2)])
+    def test_each_row_takes_its_own_slack(self, matrices):
+        # rows whose scales differ by up to 2^1000 in one stack: a slack
+        # shared across rows, or taken from another row, is not the one the
+        # row takes alone. It closes a small row's bracket, or leaves a large
+        # row at its raw quotients, which eigvalsh can find one ulp outside
+        # the spectrum (TINY_ROTATION)
+        lo, hi = brackets(matrices)
+        for a, row_lo, row_hi in zip(matrices, lo, hi):
+            assert (row_lo, row_hi) == tuple(x[0] for x in brackets([a]))
+            spec = np.linalg.eigvalsh(a)
+            assert spec[0] <= row_lo
+            assert row_hi <= spec[-1]
 
     def test_huge_observable_is_checked_without_overflow(self):
         # the slack squared entries near 1e200 for |A|_F and warned of overflow
@@ -282,14 +336,26 @@ class TestRayleighBracket:
             with pytest.raises(InfeasibleTargetError, match="spectral range"):
                 solve_quantum(DensityMatrix(np.eye(2) / 2), [QuantumConstraint(observable, 2e200)])
 
-    def test_observable_near_the_float_range_is_feasible_without_overflow(self):
+    def test_observable_near_the_float_range_is_feasible_without_overflow(self, monkeypatch):
         # its spectrum is +-1.414e308; the halved sums of the operator and
         # of the bracket's midpoints overflowed, and the solve reported the
-        # spectral range (nan, nan)
+        # spectral range (nan, nan). The slack |A|_F then overflowed, so the
+        # bracket was (inf, -inf) and an eigvalsh decided the target; the
+        # slack from the largest entry decides it in the bracket
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda *args: spectra.append(1) or eigvalsh(*args)
+        )
         observable = HermitianOperator(1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _check_feasible([QuantumConstraint(observable, 0.1)], 2)
+            _check_feasible(_stack([observable], 2), np.array([0.1]), 2)
+            lo, hi = brackets([observable.matrix])
+        assert spectra == []
+        # (-1e308, 1e308) pulled in by 16 eps 1e308
+        assert -1.5e308 < lo[0] < -0.99e308
+        assert 0.99e308 < hi[0] < 1.5e308
 
     @pytest.mark.parametrize("target", [1.0, -1.0])
     def test_target_at_diagonal_extreme_is_infeasible(self, target):
@@ -297,8 +363,10 @@ class TestRayleighBracket:
         # (-2, 2) here and accepted both targets
         prior = DensityMatrix(np.eye(3) / 3)
         observable = HermitianOperator(np.diag([-1.0, 0.3, 1.0]))
-        with pytest.raises(InfeasibleTargetError) as excinfo:
-            solve_quantum(prior, [QuantumConstraint(observable, target)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError) as excinfo:
+                solve_quantum(prior, [QuantumConstraint(observable, target)])
         assert str(excinfo.value) == (
             f"constraint 0: target {target!r} is not strictly inside "
             f"the spectral range (-1.0, 1.0)"

@@ -33,12 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
-from .errors import (
-    DomainError,
-    InfeasibleTargetError,
-    ShapeError,
-    SupportViolationError,
-)
+from .errors import DomainError, ShapeError, SupportViolationError
 from .report import SolverReport
 
 # bytes of the (m, cols) buffer the covariance is added up in, sized to
@@ -166,27 +161,23 @@ def relative_entropy(
 
 def _check_problem(
     prior: ClassicalDistribution, constraints: Sequence[ClassicalConstraint]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the prior and each constraint are views that show later writes to
     # their arrays, so what the solve reads is checked here
     if _finite_range(prior.weights, "prior weights")[0] <= 0:
         raise DomainError("prior must be strictly positive entrywise")
     # the solve's one copy of the values; each row is checked after it is
-    # copied
+    # copied, and its range is newton_dual's bounds
     a = np.empty((len(constraints), prior.n))
+    bounds = np.empty((2, len(constraints)))
     for k, c in enumerate(constraints):
         if c.values.size != prior.n:
             raise ShapeError(
                 f"constraint {k} has {c.values.size} values for {prior.n} states"
             )
         a[k] = c.values
-        lo, hi = _finite_range(a[k], f"constraint {k}: values")
-        if not (lo < c.target < hi):
-            raise InfeasibleTargetError(
-                f"constraint {k}: target {c.target!r} is not strictly inside "
-                f"({lo!r}, {hi!r})"
-            )
-    return a, np.array([c.target for c in constraints], dtype=float)
+        bounds[:, k] = _finite_range(a[k], f"constraint {k}: values")
+    return a, np.array([c.target for c in constraints], dtype=float), bounds
 
 
 def _covariance(
@@ -221,15 +212,15 @@ def solve_classical(
 ) -> SolverReport:
     """Multipliers and posterior for a classical constrained update.
 
-    Targets must be strictly inside the range of their observable values;
-    boundary or exterior targets raise InfeasibleTargetError. So does a
-    jointly infeasible target set once the Newton iteration stops short
-    of convergence and a direction separating the targets from every
-    state certifies it (qmaxent.dual). Without a certificate the report
-    says converged=False.
+    Every row's size and values are checked before any target's range,
+    which newton_dual decides: a target not strictly inside its row's
+    range, or a jointly infeasible target set once the Newton iteration
+    stops short and a direction separating the targets from every state
+    certifies it (qmaxent.dual), raises InfeasibleTargetError. Without a
+    certificate the report says converged=False.
     """
     constraints = list(constraints)
-    a, t = _check_problem(prior, constraints)
+    a, t, bounds = _check_problem(prior, constraints)
     m = len(constraints)
     ln_phi = np.log(prior.weights)
 
@@ -253,7 +244,7 @@ def solve_classical(
 
     block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * max(m, 1))))))
     return newton_dual(
-        lambda: point(ln_phi.copy()), t, evaluate,
+        lambda: point(ln_phi.copy()), t, bounds, evaluate,
         lambda state: _covariance(a, *state, block),
         # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
         lambda state: 0.0,

@@ -23,13 +23,7 @@ import numpy as np
 from .classical import relative_entropy, solve_classical
 from .errors import DomainError, InfeasibleTargetError, ShapeError
 from .quantum import quantum_relative_entropy, solve_quantum
-from .serialization import (
-    ProblemFormatError,
-    canonical_dumps,
-    parse_problem,
-    property_results_to_obj,
-    report_to_obj,
-)
+from .serialization import canonical_dumps, parse_problem, property_results_to_obj, report_to_obj
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,25 +58,18 @@ def run_update(path: str, out_path: str | None = None) -> int:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
+        mode, payload = parse_problem(json.loads(text))
     except OSError as exc:
         _say(f"error: {exc}")
         return EXIT_ERROR
-    except UnicodeDecodeError as exc:
-        _say(f"error: {path}: {exc}")
-        return EXIT_ERROR
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _say(f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         return EXIT_ERROR
     except (ValueError, RecursionError) as exc:
-        # an integer with more digits than int() converts from text, or
-        # arrays nested deeper than the decoder's recursion limit
-        _say(f"error: {path}: {exc}")
-        return EXIT_ERROR
-    try:
-        mode, payload = parse_problem(raw)
-    except (ProblemFormatError, DomainError, ShapeError) as exc:
+        # bytes that are not UTF-8, an integer with more digits than int()
+        # converts from text, arrays nested deeper than the decoder's
+        # recursion limit, or a problem that parse_problem rejects: its
+        # ProblemFormatError, DomainError and ShapeError are ValueErrors
         _say(f"error: {path}: {exc}")
         return EXIT_ERROR
 

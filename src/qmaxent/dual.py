@@ -4,7 +4,9 @@ Both the classical and the quantum solver minimize G(alpha) = ln Z(alpha)
 - alpha.t, whose gradient is the residual vector <A> - t and whose
 Hessian is a covariance of the observables. Both take ln Z and the Gibbs
 weights from logsumexp and differ only in how the means and the
-covariance are computed, which they hand to newton_dual.
+covariance are computed, which they hand to newton_dual. It raises
+every InfeasibleTargetError: a target outside its row's range, from the
+solver's bounds and spectrum, and jointly unreachable targets.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ def _newton_step(
 def newton_dual(
     start: Callable[[], tuple[Any, float, np.ndarray]],
     targets: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
     evaluate: Callable[[np.ndarray], tuple[Any, float, np.ndarray]],
     hessian: Callable[[Any], np.ndarray],
     magnitude: Callable[[Any], float],
@@ -113,8 +116,20 @@ def newton_dual(
     stops otherwise, on a stalled line search or after max_iter steps,
     _certify may raise InfeasibleTargetError. tol must be finite and
     positive and max_iter a non-negative integer, whatever the number of
-    targets: a NaN tol stops the loop at once, -1 never.
+    targets: a NaN tol stops the loop at once, -1 never. bounds = (lo, hi)
+    lie inside each row's spectral range; a target t_k outside them is
+    decided by spectrum(e_k), and one not strictly inside that spectrum
+    raises InfeasibleTargetError before tol, max_iter or start() are read.
     """
+    lo, hi = bounds
+    for k in np.flatnonzero(~((lo < targets) & (targets < hi))):
+        spec = spectrum(np.identity(len(targets))[k])
+        lo_k, hi_k, target = float(spec.min()), float(spec.max()), float(targets[k])
+        if not (lo_k < target < hi_k):
+            raise InfeasibleTargetError(
+                f"constraint {k}: target {target!r} is not strictly inside "
+                f"the spectral range ({lo_k!r}, {hi_k!r})"
+            )
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):

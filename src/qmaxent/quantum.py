@@ -16,9 +16,9 @@ from the last one of C, so a solve runs no other. The observables are
 read once per solve, into an (m, d^2) stack, so C and the m means are
 one matrix-vector product each and the Hessian is one Gram product of
 the rotated, kernel-scaled observables. One bracket of Rayleigh quotients
-over all rows decides each target's feasibility, with an eigenvalue
-solve only where a row's bracket cannot tell. The Newton iteration
-itself is qmaxent.dual.newton_dual, shared with the classical solver.
+over all rows bounds each target's range for newton_dual, which takes
+an eigenvalue solve only where a row's bracket cannot tell. The Newton
+iteration is qmaxent.dual.newton_dual, shared with the classical solver.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
-from .errors import DomainError, InfeasibleTargetError, ShapeError
+from .errors import DomainError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, trace_product
 from .report import SolverReport
 
@@ -300,19 +300,6 @@ def _spectral_brackets(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
     return (mid - radius).min(axis=1) + slack, (mid + radius).max(axis=1) - slack
 
 
-def _check_feasible(flat: np.ndarray, targets: np.ndarray, dim: int) -> None:
-    lo, hi = _spectral_brackets(flat, dim)
-    # where a bracket cannot decide, the spectrum decides exactly
-    for k in np.flatnonzero(~((lo < targets) & (targets < hi))):
-        spec = np.linalg.eigvalsh(flat[k].reshape(dim, dim))
-        lo_k, hi_k, target = float(spec[0]), float(spec[-1]), float(targets[k])
-        if not (lo_k < target < hi_k):
-            raise InfeasibleTargetError(
-                f"constraint {k}: target {target!r} is not strictly inside "
-                f"the spectral range ({lo_k!r}, {hi_k!r})"
-            )
-
-
 def solve_quantum(
     prior: DensityMatrix,
     constraints: Sequence[QuantumConstraint],
@@ -324,12 +311,12 @@ def solve_quantum(
     The prior must be full rank and normalized, and every observable of
     its dimension, which reading them into one stack checks before any
     target's range. Targets must lie strictly inside each observable's
-    spectral range, which one bracket of all stacked rows decides at every
-    finite scale, as each row's slack comes from its largest entry. A
-    jointly infeasible target set raises InfeasibleTargetError once the
-    Newton iteration stops short of convergence and a direction
-    separating the targets from every state certifies it (qmaxent.dual).
-    Without a certificate the report says converged=False.
+    spectral range, which newton_dual decides from one bracket of all
+    stacked rows, at every finite scale as each row's slack comes from
+    its largest entry. A jointly infeasible target set raises
+    InfeasibleTargetError once the Newton iteration stops short and a
+    direction separating the targets from every state certifies it
+    (qmaxent.dual). Without a certificate the report says converged=False.
     """
     _require_full_rank(prior, "prior")
     if not prior.normalized:
@@ -337,7 +324,6 @@ def solve_quantum(
     constraints = list(constraints)
     flat = _stack([c.observable for c in constraints], prior.dim)
     targets = np.array([c.target for c in constraints])
-    _check_feasible(flat, targets, prior.dim)
     ln_phi = _log(prior)
 
     def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
@@ -350,7 +336,8 @@ def solve_quantum(
         return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
 
     return newton_dual(
-        lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets, evaluate,
+        lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
+        _spectral_brackets(flat, prior.dim), evaluate,
         lambda state: _bkm_covariance(state, flat),
         # eigh finds each eigenvalue of C to about eps times its spectral norm
         lambda state: float(max(-state.vals[0], state.vals[-1])),

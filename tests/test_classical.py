@@ -307,9 +307,23 @@ class TestSolveClassical:
         arr = np.array([1.0, 2.0, 3.0])
         c = ClassicalConstraint(arr, 2.5)
         arr[:] = [0.0, 1.0, 2.0]
-        message = r"constraint 0: target 2\.5 is not strictly inside \(0\.0, 2\.0\)"
+        message = (
+            r"constraint 0: target 2\.5 is not strictly inside the spectral range \(0\.0, 2\.0\)"
+        )
         with pytest.raises(InfeasibleTargetError, match=message):
             solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
+
+    def test_later_rows_values_are_checked_before_an_earlier_rows_range(self):
+        # constraint 0's target lies outside its range, but every row's
+        # values are checked first, so constraint 1's NaN is reported
+        arr = np.array([1.0, 2.0, 3.0])
+        later = ClassicalConstraint(arr, 2.0)
+        arr[1] = np.nan
+        with pytest.raises(DomainError, match="constraint 1: values must be finite"):
+            solve_classical(
+                ClassicalDistribution([1.0, 1.0, 1.0]),
+                [ClassicalConstraint([1.0, 2.0, 3.0], 5.0), later],
+            )
 
     def test_canonical_form(self):
         rng = np.random.default_rng(21)

@@ -117,22 +117,42 @@ class TestUpdate:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("infeasible:")
 
-    def test_wrong_dim_exits_error_before_an_earlier_infeasible_target(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            (
+                {
+                    "mode": "quantum",
+                    "prior": matrix_to_obj(np.eye(2) / 2),
+                    "constraints": [
+                        {"observable": matrix_to_obj(np.diag([1.0, -1.0])), "target": 2.0},
+                        {"observable": matrix_to_obj(np.eye(3)), "target": 0.5},
+                    ],
+                },
+                "error: observable 1 has dim 3, prior has dim 2\n",
+            ),
+            (
+                {
+                    "mode": "classical",
+                    "prior": [1.0, 1.0, 1.0],
+                    "constraints": [
+                        {"observable": [1.0, 2.0, 3.0], "target": 5.0},
+                        {"observable": [1.0, 2.0], "target": 1.5},
+                    ],
+                },
+                "error: constraint 1 has 2 values for 3 states\n",
+            ),
+        ],
+        ids=["quantum", "classical"],
+    )
+    def test_wrong_dim_exits_error_before_an_earlier_infeasible_target(
+        self, tmp_path, capsys, problem, message
+    ):
         # constraint 0's target lies outside its range (exit 2 on its own),
-        # but constraint 1's shape error is reported first
-        path = write_problem(
-            tmp_path / "d.json",
-            {
-                "mode": "quantum",
-                "prior": matrix_to_obj(np.eye(2) / 2),
-                "constraints": [
-                    {"observable": matrix_to_obj(np.diag([1.0, -1.0])), "target": 2.0},
-                    {"observable": matrix_to_obj(np.eye(3)), "target": 0.5},
-                ],
-            },
-        )
+        # but constraint 1's shape error is reported first on both paths
+        path = write_problem(tmp_path / "d.json", problem)
         assert main(["update", path]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: observable 1 has dim 3, prior has dim 2\n"
+        assert capsys.readouterr().err == message
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmaxent import classical, quantum
+from qmaxent import classical, dual, quantum
 from qmaxent.checks import random_density_matrix, random_hermitian
 from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
 from qmaxent.dual import RCOND, _newton_step, newton_dual
@@ -112,9 +112,9 @@ def _start_and_evaluate(monkeypatch, module, solve, prior, constraints):
     """The start a solver hands newton_dual, and its evaluate at alpha = 0."""
     seen = {}
 
-    def capture(start, targets, evaluate, *args):
+    def capture(start, targets, bounds, evaluate, *args):
         seen["start"], seen["zero"] = start(), evaluate(np.zeros(len(targets)))
-        return newton_dual(start, targets, evaluate, *args)
+        return newton_dual(start, targets, bounds, evaluate, *args)
 
     monkeypatch.setattr(module, "newton_dual", capture)
     solve(prior, constraints)
@@ -191,7 +191,8 @@ class TestLineSearchRounding:
             return None, 0.5 * float(alpha @ alpha) + error, alpha - t
 
         return newton_dual(
-            lambda: point(np.zeros(1), 0.0), t, lambda alpha: point(alpha, 1e-13),
+            lambda: point(np.zeros(1), 0.0), t, (-np.inf, np.inf),
+            lambda alpha: point(alpha, 1e-13),
             lambda state: np.eye(1), magnitude, lambda d: d, lambda state: state,
             1e-12, 5,
         )
@@ -321,7 +322,7 @@ class TestOneStateAtATime:
             return state_type(float(alpha[0])), np.inf, np.array([np.nan])
 
         report = newton_dual(
-            start, np.array([1.0]), evaluate, lambda state: 2 * np.eye(1),
+            start, np.array([1.0]), (-np.inf, np.inf), evaluate, lambda state: 2 * np.eye(1),
             lambda state: 0.0, lambda d: np.array([10.0]), lambda state: state.origin,
             1e-12, 10,
         )
@@ -346,3 +347,95 @@ class TestOneStateAtATime:
         assert not report.converged and report.iterations == 0
         assert calls[0] == calls[-1] == "start" and len(calls) == 1 + 40 + 1
         assert report.posterior == "start"
+
+
+@pytest.mark.parametrize(
+    "solve, prior, constraints",
+    [
+        # 5.0 lies outside the range (1, 3), and below outside (-1, 1)
+        (
+            solve_classical,
+            ClassicalDistribution([1.0, 1.0, 1.0]),
+            [ClassicalConstraint([1.0, 2.0, 3.0], 5.0)],
+        ),
+        # one observable with two targets
+        (
+            solve_classical,
+            ClassicalDistribution([1.0, 1.0, 1.0]),
+            [ClassicalConstraint([1.0, 2.0, 3.0], 2.5), ClassicalConstraint([1.0, 2.0, 3.0], 1.5)],
+        ),
+        (
+            solve_quantum,
+            DensityMatrix(np.eye(2) / 2),
+            [QuantumConstraint(HermitianOperator(PAULI_Z), 5.0)],
+        ),
+        # <X>^2 + <Z>^2 <= 1 for every qubit state
+        (
+            solve_quantum,
+            DensityMatrix(np.eye(2) / 2),
+            [
+                QuantumConstraint(HermitianOperator(PAULI_X), 0.9),
+                QuantumConstraint(HermitianOperator(PAULI_Z), 0.9),
+            ],
+        ),
+    ],
+    ids=["classical-range", "classical-joint", "quantum-range", "quantum-joint"],
+)
+def test_every_infeasible_target_is_raised_in_dual(solve, prior, constraints):
+    # one place decides infeasibility: newton_dual's module raises both the
+    # range verdict and the Farkas certificate
+    with pytest.raises(InfeasibleTargetError) as excinfo:
+        solve(prior, constraints)
+    tb = excinfo.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_filename == dual.__file__
+
+
+class TestRangeTest:
+    """newton_dual decides each target's range from the bounds, and from spectrum where they cannot.
+
+    A quadratic G(alpha) = |alpha|^2 / 2 - alpha.t, whose Newton step
+    converges at once; row 0 reaches (-2, 2) and row 1 (-1, 3).
+    """
+
+    @staticmethod
+    def _solve(targets, calls, tol=1e-12):
+        t = np.array(targets)
+
+        def point(alpha):
+            calls.append("point")
+            return None, 0.5 * float(alpha @ alpha), alpha - t
+
+        def spectrum(d):
+            calls.append("spectrum")
+            return d @ np.array([[-2.0, 2.0], [-1.0, 3.0]])
+
+        return newton_dual(
+            lambda: point(np.zeros(2)), t, (np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
+            point, lambda state: np.eye(2), lambda state: 0.0, spectrum, lambda state: state,
+            tol, 5,
+        )
+
+    def test_targets_inside_the_bounds_take_no_spectrum(self):
+        calls = []
+        assert self._solve([0.5, 1.5], calls).converged
+        assert "spectrum" not in calls
+
+    def test_target_outside_the_bounds_but_inside_the_spectrum_takes_one_and_solves(self):
+        calls = []
+        report = self._solve([0.5, 2.5], calls)
+        assert calls.count("spectrum") == 1
+        assert calls[0] == "spectrum"
+        assert report.converged
+        np.testing.assert_array_equal(report.multipliers, [0.5, 2.5])
+
+    def test_target_outside_the_spectrum_is_raised_before_start(self):
+        # before tol is checked, so even a NaN tol gives the range verdict
+        calls = []
+        with pytest.raises(InfeasibleTargetError) as excinfo:
+            self._solve([0.5, 3.0], calls, tol=np.nan)
+        assert str(excinfo.value) == (
+            "constraint 1: target 3.0 is not strictly inside the spectral range (-1.0, 3.0)"
+        )
+        assert calls == ["spectrum"]

@@ -1,12 +1,19 @@
 """Hermitian matrix primitives: construction, spectra, matrix functions.
 
-All operators are dense complex square matrices of modest dimension
-(intended for dim <= 64). Matrix functions go through the spectral
+All operators are dense complex square matrices of modest dimension.
+Up to SINGLE_THREAD_MAX_DIM, the quantum entry points run their BLAS and
+LAPACK calls on one OpenBLAS thread (single_blas_thread); above it, on
+the caller's thread count. Matrix functions go through the spectral
 decomposition, so exp/log of a Hermitian operator stay exactly Hermitian
 after re-symmetrization.
 """
 
 from __future__ import annotations
+
+import ctypes
+import threading
+from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -17,6 +24,88 @@ HERMITICITY_TOL = 1e-12
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# the largest dim whose kernels single_blas_thread runs on one thread
+SINGLE_THREAD_MAX_DIM = 128
+
+_scope_lock = threading.Lock()
+_scope_entries = 0
+_scope_saved = 0
+
+
+@cache
+def _openblas_threads():
+    """numpy's OpenBLAS (get_num_threads, set_num_threads), or None where numpy has none.
+
+    They are looked up through numpy's linear-algebra extension, whose
+    dependencies hold the OpenBLAS that numpy loaded: scipy_openblas_*64_
+    in numpy 2 wheels, openblas_*64_ in older ones, and without the 64_
+    in 32-bit-integer builds.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            # int get(void) and void set(int), also in 64-bit-integer builds
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
+
+
+@contextmanager
+def single_blas_thread(dim: int):
+    """Run the block on one OpenBLAS thread if dim <= SINGLE_THREAD_MAX_DIM.
+
+    After each threaded call the second thread's worker spins on a core
+    until a timeout, so two threads take about twice the CPU time of one
+    at every size. Up to the limit they save little or no wall time; from
+    dim 192 they save a quarter or more, so the caller's thread count is
+    left alone above it. Wall ms per solve_quantum on planted problems
+    (median of 9 solves, range and median over 7 rounds; 2-vCPU Xeon,
+    OpenBLAS 0.3.31, numpy 2.4):
+
+        dim x m   2 threads              1 thread
+        64 x 16     9.4 - 10.8  (10.0)    10.2 - 14.1  (10.6)
+        96 x 8     17.5 - 19.4  (18.6)    16.2 - 24.9  (17.3)
+        112 x 8    22.6 - 28.0  (23.7)    23.3 - 34.8  (25.1)
+        128 x 8    30.6 - 36.4  (31.8)    33.5 - 38.1  (34.5)
+        192 x 8    74.8 - 106.0 (78.1)    99.0 - 107.0 (102.3)
+        256 x 8   168.0 - 223.6 (176.3)  236.6 - 263.2 (248.1)
+
+    The first scope to enter saves the thread count and sets 1, and the
+    last to leave restores it, so nested scopes and solves on concurrent
+    Python threads never leave the process at one thread; BLAS that other
+    Python threads run meanwhile runs on one thread too. Where numpy uses
+    no OpenBLAS the scope does nothing.
+    """
+    global _scope_entries, _scope_saved
+    threads = _openblas_threads() if dim <= SINGLE_THREAD_MAX_DIM else None
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    with _scope_lock:
+        if _scope_entries == 0:
+            _scope_saved = get()
+            set_threads(1)
+        _scope_entries += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope_entries -= 1
+            if _scope_entries == 0:
+                set_threads(_scope_saved)
 
 
 def _as_square_array(matrix) -> np.ndarray:
@@ -80,16 +169,18 @@ def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def matrix_exp(operator: HermitianOperator) -> HermitianOperator:
-    vals, vecs = np.linalg.eigh(operator.matrix)
-    return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
+    with single_blas_thread(operator.dim):
+        vals, vecs = np.linalg.eigh(operator.matrix)
+        return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
 
 
 def matrix_log(operator: HermitianOperator) -> HermitianOperator:
     """ln A for positive definite A; an eigenvalue <= 0 is reported and no value is returned."""
-    vals, vecs = np.linalg.eigh(operator.matrix)
-    if vals[0] <= 0.0:
-        raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")
-    return HermitianOperator(_spectral_matrix(vecs, np.log(vals)))
+    with single_blas_thread(operator.dim):
+        vals, vecs = np.linalg.eigh(operator.matrix)
+        if vals[0] <= 0.0:
+            raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")
+        return HermitianOperator(_spectral_matrix(vecs, np.log(vals)))
 
 
 def trace_product(a, b) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
 from .errors import DomainError, ShapeError
-from .linalg import HermitianOperator, _spectral_matrix, trace_product
+from .linalg import HermitianOperator, _spectral_matrix, single_blas_thread, trace_product
 from .report import SolverReport
 
 FULL_RANK_EIG = 1e-12
@@ -49,7 +49,8 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
-        self._setup(op.matrix, *np.linalg.eigh(op.matrix))
+        with single_blas_thread(op.dim):
+            self._setup(op.matrix, *np.linalg.eigh(op.matrix))
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -143,7 +144,8 @@ def quantum_relative_entropy(
     if rho.dim != phi.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {phi.dim}")
     _require_full_rank(phi, "phi")
-    return _relative_entropy_to_log(rho, _log(phi), variant)
+    with single_blas_thread(phi.dim):
+        return _relative_entropy_to_log(rho, _log(phi), variant)
 
 
 def _relative_entropy_to_log(rho: DensityMatrix, ln_phi: np.ndarray, variant: str) -> float:
@@ -214,7 +216,8 @@ def _gibbs_at(
             "multipliers must be finite, got "
             + ", ".join(f"alpha[{i}] = {float(alphas[i])!r}" for i in bad)
         )
-    return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
+    with single_blas_thread(phi.dim):
+        return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
 
 
 def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
@@ -287,17 +290,20 @@ def _spectral_brackets(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
     multiple of eps |A|_2), so a target strictly inside (lo, hi) is
     strictly inside the spectral range that eigvalsh reports. Taken from
     the largest entry, the slack cannot overflow, so the bracket decides
-    at every finite scale. For d = 1 it is empty.
+    at every finite scale. For d = 1 it is empty. A row whose quotients
+    pass the float range, as its spectrum then does, gets an infinite or
+    NaN bound, without a warning.
     """
     diag = flat[:, :: dim + 1].real
     # halved before they are added, so that entries near the float range
     # do not overflow; exact where the halves are normal numbers
     mid = (diag[:, :, None] / 2.0 + diag[:, None, :] / 2.0).reshape(flat.shape)
-    radius = np.abs(flat)
-    slack = BRACKET_SLACK * dim * dim * np.finfo(float).eps * radius.max(axis=1)
-    # |A_jj| is no radius: e_j alone gives A_jj
-    radius[:, :: dim + 1] = 0.0
-    return (mid - radius).min(axis=1) + slack, (mid + radius).max(axis=1) - slack
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.abs(flat)
+        slack = BRACKET_SLACK * dim * dim * np.finfo(float).eps * radius.max(axis=1)
+        # |A_jj| is no radius: e_j alone gives A_jj
+        radius[:, :: dim + 1] = 0.0
+        return (mid - radius).min(axis=1) + slack, (mid + radius).max(axis=1) - slack
 
 
 def solve_quantum(
@@ -309,8 +315,12 @@ def solve_quantum(
     """Multipliers and posterior for a quantum constrained update.
 
     The prior must be full rank and normalized, and every observable of
-    its dimension, which reading them into one stack checks before any
-    target's range. Targets must lie strictly inside each observable's
+    its dimension, which reading them into one stack checks, and of a
+    spectrum inside the float range, both before any target's range.
+    Since |lambda| <= d max|A_jk| and a row's bracket bounds max|A_jk|,
+    only a row whose bracket passes the float range over 2d takes an
+    eigvalsh, of the row scaled by its largest real or imaginary part,
+    to decide the latter. Targets must lie strictly inside each observable's
     spectral range, which newton_dual decides from one bracket of all
     stacked rows, at every finite scale as each row's slack comes from
     its largest entry. A jointly infeasible target set raises
@@ -321,26 +331,39 @@ def solve_quantum(
     _require_full_rank(prior, "prior")
     if not prior.normalized:
         raise DomainError("prior must be normalized (unit trace)")
-    constraints = list(constraints)
-    flat = _stack([c.observable for c in constraints], prior.dim)
-    targets = np.array([c.target for c in constraints])
-    ln_phi = _log(prior)
+    dim = prior.dim
+    with single_blas_thread(dim):
+        constraints = list(constraints)
+        flat = _stack([c.observable for c in constraints], dim)
+        targets = np.array([c.target for c in constraints])
+        bounds = _spectral_brackets(flat, dim)
+        top = np.maximum(np.abs(bounds[0]), np.abs(bounds[1]))
+        # not >, so that a NaN bound is decided too
+        for k in np.flatnonzero(~(top <= np.finfo(float).max / (2 * dim))):
+            big = float(np.abs(flat[k].view(float)).max())
+            spec = np.abs(np.linalg.eigvalsh((flat[k] / big).reshape(dim, dim))).max()
+            if spec > np.finfo(float).max / big:
+                raise DomainError(
+                    f"constraint {k}: the observable's spectrum passes the float range, "
+                    f"its largest |eigenvalue| is {float(spec)!r} * {big!r}"
+                )
+        ln_phi = _log(prior)
 
-    def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
-        # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
-        means = (flat @ state.rho.T.ravel()).real
-        return state, state.ln_z, means - targets
+        def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
+            # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
+            means = (flat @ state.rho.T.ravel()).real
+            return state, state.ln_z, means - targets
 
-    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
-        # the one eigendecomposition per dual evaluation
-        return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
+        def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
+            # the one eigendecomposition per dual evaluation
+            return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
 
-    return newton_dual(
-        lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
-        _spectral_brackets(flat, prior.dim), evaluate,
-        lambda state: _bkm_covariance(state, flat),
-        # eigh finds each eigenvalue of C to about eps times its spectral norm
-        lambda state: float(max(-state.vals[0], state.vals[-1])),
-        lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
-        _GibbsState.posterior, tol, max_iter,
-    )
+        return newton_dual(
+            lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
+            bounds, evaluate,
+            lambda state: _bkm_covariance(state, flat),
+            # eigh finds each eigenvalue of C to about eps times its spectral norm
+            lambda state: float(max(-state.vals[0], state.vals[-1])),
+            lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
+            _GibbsState.posterior, tol, max_iter,
+        )

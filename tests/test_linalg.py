@@ -1,19 +1,31 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from qmaxent import linalg, quantum
 from qmaxent.errors import DomainError, ShapeError
 from qmaxent.linalg import (
     HermitianOperator,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SINGLE_THREAD_MAX_DIM,
     matrix_exp,
     matrix_log,
+    single_blas_thread,
     trace_product,
 )
-from qmaxent.quantum import DensityMatrix
+from qmaxent.quantum import (
+    DensityMatrix,
+    QuantumConstraint,
+    log_partition,
+    posterior_from_multipliers,
+    quantum_relative_entropy,
+    solve_quantum,
+)
 
 LN2 = 0.6931471805599453
 
@@ -195,3 +207,144 @@ class TestNonFiniteEntries:
             HermitianOperator(np.array([[0.0, np.inf], [np.inf, 1.0]]))
         with pytest.raises(DomainError, match="non-finite"):
             HermitianOperator(np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]))
+
+
+def _qubit_problem():
+    prior = DensityMatrix(np.diag([0.6, 0.4]))
+    return prior, [QuantumConstraint(HermitianOperator(PAULI_X), 0.3),
+                   QuantumConstraint(HermitianOperator(PAULI_Z), -0.2)]
+
+
+class TestSingleBlasThread:
+    """The quantum kernels run on one OpenBLAS thread and give the caller's count back."""
+
+    @pytest.fixture
+    def threads(self):
+        # the caller's count, 3, set through the helper's own functions
+        found = linalg._openblas_threads()
+        if found is None:
+            pytest.skip("numpy uses no OpenBLAS whose thread count can be set")
+        get, set_threads = found
+        saved = get()
+        set_threads(3)
+        yield get
+        set_threads(saved)
+
+    @staticmethod
+    def spy(monkeypatch, owner, name, get):
+        """Record the thread count each time owner.name runs."""
+        seen = []
+        real = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+        return seen
+
+    def test_solve_runs_on_one_thread_and_restores_the_count(self, threads, monkeypatch):
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        prior, constraints = _qubit_problem()
+        assert solve_quantum(prior, constraints).converged
+        assert seen and set(seen) == {1}
+        assert threads() == 3
+
+    @pytest.mark.parametrize("entry", [
+        lambda prior: DensityMatrix(prior.matrix),
+        lambda prior: log_partition(prior, [HermitianOperator(PAULI_X)], [0.4]),
+        lambda prior: posterior_from_multipliers(prior, [HermitianOperator(PAULI_X)], [0.4]),
+        lambda prior: matrix_exp(HermitianOperator(prior.matrix)),
+        lambda prior: matrix_log(HermitianOperator(prior.matrix)),
+    ])
+    def test_each_entry_point_decomposes_on_one_thread(self, entry, threads, monkeypatch):
+        prior, _ = _qubit_problem()
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        entry(prior)
+        assert seen == [1]
+        assert threads() == 3
+
+    def test_relative_entropy_takes_the_logarithm_on_one_thread(self, threads, monkeypatch):
+        prior, _ = _qubit_problem()
+        seen = self.spy(monkeypatch, quantum, "_spectral_matrix", threads)
+        quantum_relative_entropy(prior, DensityMatrix(np.eye(2) / 2))
+        assert seen == [1]
+        assert threads() == 3
+
+    def test_count_comes_back_after_a_domain_error_inside_the_solve(self, threads, monkeypatch):
+        # the spectrum-overflow check raises after its eigvalsh, inside the scope
+        seen = self.spy(monkeypatch, np.linalg, "eigvalsh", threads)
+        observable = HermitianOperator(1.5e308 * np.ones((2, 2)))
+        with pytest.raises(DomainError, match="passes the float range"):
+            solve_quantum(DensityMatrix(np.eye(2) / 2), [QuantumConstraint(observable, 1e308)])
+        assert seen == [1]
+        assert threads() == 3
+
+    def test_nested_scopes_restore_the_count_once_the_outer_one_leaves(self, threads):
+        with single_blas_thread(4):
+            with single_blas_thread(8):
+                assert threads() == 1
+            assert threads() == 1
+            with pytest.raises(DomainError):
+                matrix_log(HermitianOperator(-np.eye(2)))
+            assert threads() == 1
+        assert threads() == 3
+
+    def test_concurrent_solves_leave_the_callers_count(self, threads, monkeypatch):
+        # more Python threads than cores, switching often: a scope that
+        # restored the count while another solve ran, or saved the 1 that
+        # another had set, shows as a count other than 1 inside or 3 after
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        prior, constraints = _qubit_problem()
+        start = threading.Barrier(4)
+        results = []
+
+        def work():
+            start.wait()
+            results.extend(solve_quantum(prior, constraints).converged for _ in range(50))
+
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert results == [True] * 200
+        assert set(seen) == {1}
+        assert threads() == 3
+
+    def test_a_dim_above_the_limit_keeps_the_callers_count(self, threads, monkeypatch):
+        with single_blas_thread(SINGLE_THREAD_MAX_DIM + 1):
+            assert threads() == 3
+        with single_blas_thread(SINGLE_THREAD_MAX_DIM):
+            assert threads() == 1
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        dim = SINGLE_THREAD_MAX_DIM + 1
+        DensityMatrix(np.eye(dim) / dim)
+        assert seen == [3]
+
+    def test_without_openblas_the_scope_does_nothing(self, threads, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        prior, constraints = _qubit_problem()
+        assert solve_quantum(prior, constraints).converged
+        assert set(seen) == {3}
+        assert threads() == 3
+
+
+def test_the_thread_functions_are_found_where_numpy_reports_openblas():
+    # a wheel that renamed its OpenBLAS symbols would bring the spinning
+    # second thread back without a sign; here it fails instead
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        pytest.skip("numpy cannot report its BLAS (show_config(mode=...) needs numpy >= 1.25)")
+    name = config["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in name.lower():
+        pytest.skip(f"numpy uses {name}, not OpenBLAS")
+    assert linalg._openblas_threads() is not None

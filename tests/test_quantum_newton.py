@@ -351,6 +351,43 @@ class TestRayleighBracket:
         assert -1.5e308 < lo[0] < -0.99e308
         assert 0.99e308 < hi[0] < 1.5e308
 
+    @pytest.mark.parametrize("matrix, target, scale", [
+        # spectrum (0, 3e308): the solve warned about 45 times of overflow
+        # and returned converged=False after 0 iterations with alpha = 0
+        (1.5e308 * np.ones((2, 2)), 1e308, 1.5e308),
+        # spectrum (0, 0, 2.1e308), whose bracket (0, 1.4e308) stays finite
+        (0.7e308 * np.ones((3, 3)), 1e307, 0.7e308),
+        # |A_01| overflows, and the bracket's bounds are NaN
+        (np.array([[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]]), 0.0, 1.7e308),
+    ])
+    def test_spectrum_past_the_float_range_is_a_domain_error(self, matrix, target, scale):
+        # finite entries, but eigvalsh finds an infinite eigenvalue: the
+        # constraint that carries it is named, before any range or solve
+        dim = len(matrix)
+        constraints = [QuantumConstraint(HermitianOperator(np.eye(dim)), 1.0 + 1e-9),
+                       QuantumConstraint(HermitianOperator(matrix), target)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                solve_quantum(DensityMatrix(np.eye(dim) / dim), constraints)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "constraint 1: the observable's spectrum passes the float range, "
+            "its largest |eigenvalue| is "
+        )
+        assert message.endswith(f" * {scale!r}")
+
+    def test_spectrum_just_inside_the_float_range_passes_the_check(self, monkeypatch):
+        # |lambda| <= 2 max|A_jk| may overflow here, so one scaled eigvalsh
+        # decides, and finds 1.7e308; the range check then needs no other
+        observable = HermitianOperator(0.85e308 * np.ones((2, 2)))
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(1) or eigvalsh(a))
+        with pytest.raises(InfeasibleTargetError, match=r"^constraint 0: target 1\.75e\+308 "):
+            solve_quantum(DensityMatrix(np.eye(2) / 2), [QuantumConstraint(observable, 1.75e308)])
+        assert spectra == [1, 1]
+
     @pytest.mark.parametrize("target", [1.0, -1.0])
     def test_target_at_diagonal_extreme_is_infeasible(self, target):
         # a bracket whose radius kept |A_jj| on its diagonal reached

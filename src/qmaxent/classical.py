@@ -34,6 +34,7 @@ import numpy as np
 
 from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
 from .errors import DomainError, ShapeError, SupportViolationError
+from .linalg import single_blas_thread
 from .report import SolverReport
 
 # bytes of the (m, cols) buffer the covariance is added up in, sized to
@@ -204,6 +205,7 @@ def _covariance(
     return hess
 
 
+@single_blas_thread()
 def solve_classical(
     prior: ClassicalDistribution,
     constraints: Sequence[ClassicalConstraint],
@@ -217,7 +219,9 @@ def solve_classical(
     range, or a jointly infeasible target set once the Newton iteration
     stops short and a direction separating the targets from every state
     certifies it (qmaxent.dual), raises InfeasibleTargetError. Without a
-    certificate the report says converged=False.
+    certificate the report says converged=False. The solve runs on one
+    OpenBLAS thread (linalg.single_blas_thread), so its results do not
+    depend on the caller's thread count.
     """
     constraints = list(constraints)
     a, t, bounds = _check_problem(prior, constraints)

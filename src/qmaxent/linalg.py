@@ -1,11 +1,12 @@
 """Hermitian matrix primitives: construction, spectra, matrix functions.
 
 All operators are dense complex square matrices of modest dimension.
-Up to SINGLE_THREAD_MAX_DIM, the quantum entry points run their BLAS and
-LAPACK calls on one OpenBLAS thread (single_blas_thread); above it, on
-the caller's thread count. Matrix functions go through the spectral
-decomposition, so exp/log of a Hermitian operator stay exactly Hermitian
-after re-symmetrization.
+The classical solve, and the quantum entry points up to
+SINGLE_THREAD_MAX_DIM, run their BLAS and LAPACK calls on one OpenBLAS
+thread (single_blas_thread); larger quantum kernels run on the caller's
+thread count. Matrix functions go through the spectral decomposition, so
+exp/log of a Hermitian operator stay exactly Hermitian after
+re-symmetrization.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ def _openblas_threads():
 
 
 @contextmanager
-def single_blas_thread(dim: int):
-    """Run the block on one OpenBLAS thread if dim <= SINGLE_THREAD_MAX_DIM.
+def single_blas_thread(dim: int | None = None):
+    """Run the block on one OpenBLAS thread, unless dim > SINGLE_THREAD_MAX_DIM.
 
-    After each threaded call the second thread's worker spins on a core
-    until a timeout, so two threads take about twice the CPU time of one
-    at every size. Up to the limit they save little or no wall time; from
-    dim 192 they save a quarter or more, so the caller's thread count is
-    left alone above it. Wall ms per solve_quantum on planted problems
-    (median of 9 solves, range and median over 7 rounds; 2-vCPU Xeon,
-    OpenBLAS 0.3.31, numpy 2.4):
+    dim is a quantum kernel's dimension; without one, as in the classical
+    solve, the block runs on one thread at every size. After each
+    threaded call the second thread's worker spins on a core until a
+    timeout, so two threads take about twice the CPU time of one at every
+    size, and where the scheduler puts the worker on the caller's core
+    every threaded GEMV waits about 8 ms for it. Up to the limit a second
+    thread saves little or no wall time; from dim 192 it saves a quarter
+    or more, so the caller's thread count is left alone above it. Wall ms
+    per solve_quantum on planted problems (median of 9 solves, range and
+    median over 7 rounds; 2-vCPU Xeon, OpenBLAS 0.3.31, numpy 2.4):
 
         dim x m   2 threads              1 thread
         64 x 16     9.4 - 10.8  (10.0)    10.2 - 14.1  (10.6)
@@ -82,6 +86,21 @@ def single_blas_thread(dim: int):
         192 x 8    74.8 - 106.0 (78.1)    99.0 - 107.0 (102.3)
         256 x 8   168.0 - 223.6 (176.3)  236.6 - 263.2 (248.1)
 
+    A second thread saves at most 11% of solve_classical's wall time, short
+    of the 15% that would pay for its CPU, so the classical solve runs on
+    one thread at every size. Wall ms on planted problems (median of 3
+    solves, range and median over 9 fresh processes; same host):
+
+        n x m     2 threads               1 thread
+        1e5 x 4      6.2 - 21.4   (8.1)      6.0 - 17.2   (8.1)
+        1e5 x 16    17.3 - 78.8   (22.4)    18.1 - 43.4   (23.6)
+        2e5 x 4     12.0 - 32.0   (16.4)    12.8 - 25.6   (15.6)
+        2e5 x 16    34.9 - 58.5   (49.4)    38.9 - 62.4   (52.9)
+        1e6 x 4     52.4 - 103.4  (89.8)    55.9 - 111.0  (90.4)
+        1e6 x 16   235.8 - 328.7  (292.8)  262.7 - 370.2  (315.6)
+        4e6 x 4    286.3 - 474.8  (390.5)  300.7 - 541.3  (391.7)
+        4e6 x 16   999.0 - 1282.5 (1131.0) 1121.5 - 1454.3 (1277.5)
+
     The first scope to enter saves the thread count and sets 1, and the
     last to leave restores it, so nested scopes and solves on concurrent
     Python threads never leave the process at one thread; BLAS that other
@@ -89,7 +108,7 @@ def single_blas_thread(dim: int):
     no OpenBLAS the scope does nothing.
     """
     global _scope_entries, _scope_saved
-    threads = _openblas_threads() if dim <= SINGLE_THREAD_MAX_DIM else None
+    threads = _openblas_threads() if dim is None or dim <= SINGLE_THREAD_MAX_DIM else None
     if threads is None:
         yield
         return

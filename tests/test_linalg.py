@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qmaxent import linalg, quantum
-from qmaxent.errors import DomainError, ShapeError
+from qmaxent import classical, linalg, quantum
+from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
+from qmaxent.errors import DomainError, InfeasibleTargetError, ShapeError
 from qmaxent.linalg import (
     HermitianOperator,
     PAULI_X,
@@ -215,8 +216,20 @@ def _qubit_problem():
                    QuantumConstraint(HermitianOperator(PAULI_Z), -0.2)]
 
 
+def _planted_classical_problem(n, m, seed=0):
+    """A prior on n states and m Gaussian observables whose targets are met at a planted beta."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(m, n))
+    prior = np.exp(0.5 * rng.normal(size=n))
+    ln_w = np.log(prior) + rng.normal(scale=0.3, size=m) @ values
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    return (ClassicalDistribution(prior),
+            [ClassicalConstraint(v, float(v @ rho)) for v in values])
+
+
 class TestSingleBlasThread:
-    """The quantum kernels run on one OpenBLAS thread and give the caller's count back."""
+    """Both solvers run on one OpenBLAS thread and give the caller's count back."""
 
     @pytest.fixture
     def threads(self):
@@ -280,6 +293,58 @@ class TestSingleBlasThread:
         assert seen == [1]
         assert threads() == 3
 
+    def test_classical_solve_runs_on_one_thread_and_restores_the_count(self, threads, monkeypatch):
+        evaluations = self.spy(monkeypatch, classical, "logsumexp", threads)
+        hessians = self.spy(monkeypatch, classical, "_covariance", threads)
+        prior, constraints = _planted_classical_problem(1000, 3)
+        assert solve_classical(prior, constraints).converged
+        assert evaluations and set(evaluations) == {1}
+        assert hessians and set(hessians) == {1}
+        assert threads() == 3
+
+    def test_count_comes_back_after_a_classical_domain_error(self, threads, monkeypatch):
+        # a constraint is a view of its values, so a NaN written after
+        # construction reaches the solve, whose _check_problem rejects it
+        values = np.array([1.0, 2.0, 3.0])
+        constraint = ClassicalConstraint(values, 2.5)
+        values[1] = np.nan
+        prior = ClassicalDistribution([1.0, 1.0, 1.0])
+        # the prior's check and the row's, both inside the scope
+        seen = self.spy(monkeypatch, classical, "_finite_range", threads)
+        with pytest.raises(DomainError, match="constraint 0: values must be finite"):
+            solve_classical(prior, [constraint])
+        assert seen == [1, 1]
+        assert threads() == 3
+
+    @pytest.mark.parametrize("constraints, message", [
+        ([ClassicalConstraint([1.0, 2.0, 3.0], 4.0)], "not strictly inside"),
+        ([ClassicalConstraint([-1.0, 1.0], 0.3), ClassicalConstraint([-1.0, 1.0], 0.5)],
+         "Farkas certificate"),
+    ], ids=["range", "farkas"])
+    def test_count_comes_back_after_each_infeasible_target_error(
+            self, constraints, message, threads, monkeypatch):
+        prior = ClassicalDistribution(np.ones(constraints[0].values.size))
+        seen = self.spy(monkeypatch, classical, "_finite_range", threads)
+        with pytest.raises(InfeasibleTargetError, match=message):
+            solve_classical(prior, constraints)
+        assert seen and set(seen) == {1}
+        assert threads() == 3
+
+    def test_threaded_gemv_no_longer_moves_the_last_bits_of_classical_results(self, threads):
+        # at 3 threads OpenBLAS split the 13 rows of a @ rho into uneven
+        # shares, which it summed in another order than one thread: the
+        # multipliers and posterior weights moved by about 1e-16
+        prior, constraints = _planted_classical_problem(150_000, 13)
+        reports = []
+        for count in (1, 3):
+            linalg._openblas_threads()[1](count)
+            reports.append(solve_classical(prior, constraints))
+        one, three = reports
+        assert one.converged
+        assert np.array_equal(one.multipliers, three.multipliers)
+        assert one.log_partition == three.log_partition
+        assert np.array_equal(one.posterior.weights, three.posterior.weights)
+
     def test_nested_scopes_restore_the_count_once_the_outer_one_leaves(self, threads):
         with single_blas_thread(4):
             with single_blas_thread(8):
@@ -291,19 +356,25 @@ class TestSingleBlasThread:
         assert threads() == 3
 
     def test_concurrent_solves_leave_the_callers_count(self, threads, monkeypatch):
-        # more Python threads than cores, switching often: a scope that
-        # restored the count while another solve ran, or saved the 1 that
-        # another had set, shows as a count other than 1 inside or 3 after
-        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
-        prior, constraints = _qubit_problem()
+        # more Python threads than cores, switching often, each alternating
+        # classical and quantum solves that share the scope's entry count:
+        # a scope that restored the count while another solve ran, or saved
+        # the 1 that another had set, shows as a count other than 1 inside
+        # or 3 after
+        decompositions = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        hessians = self.spy(monkeypatch, classical, "_covariance", threads)
+        problems = [(solve_quantum, *_qubit_problem()),
+                    (solve_classical, *_planted_classical_problem(1000, 3))]
         start = threading.Barrier(4)
         results = []
 
-        def work():
+        def work(first):
             start.wait()
-            results.extend(solve_quantum(prior, constraints).converged for _ in range(50))
+            for k in range(first, first + 50):
+                solve, prior, constraints = problems[k % 2]
+                results.append(solve(prior, constraints).converged)
 
-        workers = [threading.Thread(target=work) for _ in range(4)]
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -315,7 +386,8 @@ class TestSingleBlasThread:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert results == [True] * 200
-        assert set(seen) == {1}
+        assert set(decompositions) == {1}
+        assert hessians and set(hessians) == {1}
         assert threads() == 3
 
     def test_a_dim_above_the_limit_keeps_the_callers_count(self, threads, monkeypatch):

@@ -229,7 +229,11 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Normalized exp of a random Hermitian matrix; always full rank."""
+    """Normalized exp of a random Hermitian matrix; full rank up to dim 40.
+
+    Its smallest weight falls like exp(-4 sqrt(dim)): of 20 draws from
+    default_rng(0), is_full_rank() failed 1 at dim 48 and all from dim 56.
+    """
     rho = matrix_exp(random_hermitian(rng, dim)).matrix
     return DensityMatrix(rho / np.trace(rho).real)
 

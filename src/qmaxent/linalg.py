@@ -1,12 +1,11 @@
 """Hermitian matrix primitives: construction, spectra, matrix functions.
 
 All operators are dense complex square matrices of modest dimension.
-The classical solve, and the quantum entry points up to
-SINGLE_THREAD_MAX_DIM, run their BLAS and LAPACK calls on one OpenBLAS
-thread (single_blas_thread); larger quantum kernels run on the caller's
-thread count. Matrix functions go through the spectral decomposition, so
-exp/log of a Hermitian operator stay exactly Hermitian after
-re-symmetrization.
+The classical solve and the quantum entry points run their BLAS and
+LAPACK calls on one OpenBLAS thread at every size (single_blas_thread),
+so no result depends on the caller's thread count. Matrix functions go
+through the spectral decomposition, so exp/log of a Hermitian operator
+stay exactly Hermitian after re-symmetrization.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ HERMITICITY_TOL = 1e-12
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# the largest dim whose kernels single_blas_thread runs on one thread
-SINGLE_THREAD_MAX_DIM = 128
 
 _scope_lock = threading.Lock()
 _scope_entries = 0
@@ -64,31 +60,22 @@ def _openblas_threads():
 
 
 @contextmanager
-def single_blas_thread(dim: int | None = None):
-    """Run the block on one OpenBLAS thread, unless dim > SINGLE_THREAD_MAX_DIM.
+def single_blas_thread():
+    """Run the block, or the decorated function, on one OpenBLAS thread.
 
-    dim is a quantum kernel's dimension; without one, as in the classical
-    solve, the block runs on one thread at every size. After each
-    threaded call the second thread's worker spins on a core until a
-    timeout, so two threads take about twice the CPU time of one at every
-    size, and where the scheduler puts the worker on the caller's core
-    every threaded GEMV waits about 8 ms for it. Up to the limit a second
-    thread saves little or no wall time; from dim 192 it saves a quarter
-    or more, so the caller's thread count is left alone above it. Wall ms
-    per solve_quantum on planted problems (median of 9 solves, range and
-    median over 7 rounds; 2-vCPU Xeon, OpenBLAS 0.3.31, numpy 2.4):
-
-        dim x m   2 threads              1 thread
-        64 x 16     9.4 - 10.8  (10.0)    10.2 - 14.1  (10.6)
-        96 x 8     17.5 - 19.4  (18.6)    16.2 - 24.9  (17.3)
-        112 x 8    22.6 - 28.0  (23.7)    23.3 - 34.8  (25.1)
-        128 x 8    30.6 - 36.4  (31.8)    33.5 - 38.1  (34.5)
-        192 x 8    74.8 - 106.0 (78.1)    99.0 - 107.0 (102.3)
-        256 x 8   168.0 - 223.6 (176.3)  236.6 - 263.2 (248.1)
-
-    A second thread saves at most 11% of solve_classical's wall time, short
-    of the 15% that would pay for its CPU, so the classical solve runs on
-    one thread at every size. Wall ms on planted problems (median of 3
+    Every entry point runs on one thread at every size, so no result
+    depends on the caller's thread count: two threads split products into
+    other partial sums, which moved the last bits of solve_classical's
+    results at n 1.5e5 and of solve_quantum's at dim 160. A second thread
+    also costs CPU: after each threaded call its worker spins on a core
+    until a timeout, and where the scheduler puts it on the caller's core
+    every threaded GEMV waits about 8 ms for it. It saves at most 8% of
+    a quantum solve's wall time up to dim 128, and more above: per planted
+    solve_quantum with m = 8, 2 -> 1 thread took 92 -> 111 ms wall and
+    182 -> 111 ms CPU at dim 192, 180 -> 235 ms and 355 -> 235 ms at dim
+    256 (median of 3 fresh processes; 2-vCPU Xeon, OpenBLAS 0.3.31, numpy
+    2.4). The CLI runs one thread anyway. It saves at most 11% of
+    solve_classical's wall time; wall ms on planted problems (median of 3
     solves, range and median over 9 fresh processes; same host):
 
         n x m     2 threads               1 thread
@@ -108,7 +95,7 @@ def single_blas_thread(dim: int | None = None):
     no OpenBLAS the scope does nothing.
     """
     global _scope_entries, _scope_saved
-    threads = _openblas_threads() if dim is None or dim <= SINGLE_THREAD_MAX_DIM else None
+    threads = _openblas_threads()
     if threads is None:
         yield
         return
@@ -187,19 +174,19 @@ def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
+@single_blas_thread()
 def matrix_exp(operator: HermitianOperator) -> HermitianOperator:
-    with single_blas_thread(operator.dim):
-        vals, vecs = np.linalg.eigh(operator.matrix)
-        return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
 
 
+@single_blas_thread()
 def matrix_log(operator: HermitianOperator) -> HermitianOperator:
     """ln A for positive definite A; an eigenvalue <= 0 is reported and no value is returned."""
-    with single_blas_thread(operator.dim):
-        vals, vecs = np.linalg.eigh(operator.matrix)
-        if vals[0] <= 0.0:
-            raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")
-        return HermitianOperator(_spectral_matrix(vecs, np.log(vals)))
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    if vals[0] <= 0.0:
+        raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")
+    return HermitianOperator(_spectral_matrix(vecs, np.log(vals)))
 
 
 def trace_product(a, b) -> float:

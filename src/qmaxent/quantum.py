@@ -47,10 +47,10 @@ class DensityMatrix:
     eigenvector columns that the checks, ln phi and the relative entropy read.
     """
 
+    @single_blas_thread()
     def __init__(self, matrix):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
-        with single_blas_thread(op.dim):
-            self._setup(op.matrix, *np.linalg.eigh(op.matrix))
+        self._setup(op.matrix, *np.linalg.eigh(op.matrix))
 
     @classmethod
     def _from_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -131,6 +131,7 @@ def _log(phi: DensityMatrix) -> np.ndarray:
     return _spectral_matrix(phi.eigenvectors, np.log(phi.eigenvalues))
 
 
+@single_blas_thread()
 def quantum_relative_entropy(
     rho: DensityMatrix, phi: DensityMatrix, variant: str = "full"
 ) -> float:
@@ -144,8 +145,7 @@ def quantum_relative_entropy(
     if rho.dim != phi.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {phi.dim}")
     _require_full_rank(phi, "phi")
-    with single_blas_thread(phi.dim):
-        return _relative_entropy_to_log(rho, _log(phi), variant)
+    return _relative_entropy_to_log(rho, _log(phi), variant)
 
 
 def _relative_entropy_to_log(rho: DensityMatrix, ln_phi: np.ndarray, variant: str) -> float:
@@ -200,6 +200,7 @@ def _gibbs(vals: np.ndarray, vecs: np.ndarray) -> _GibbsState:
     return _GibbsState(vals, vecs, p, ln_z, _spectral_matrix(vecs, p))
 
 
+@single_blas_thread()
 def _gibbs_at(
     phi: DensityMatrix, observables: Sequence[HermitianOperator], alphas
 ) -> _GibbsState:
@@ -216,8 +217,7 @@ def _gibbs_at(
             "multipliers must be finite, got "
             + ", ".join(f"alpha[{i}] = {float(alphas[i])!r}" for i in bad)
         )
-    with single_blas_thread(phi.dim):
-        return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
+    return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
 
 
 def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
@@ -235,9 +235,9 @@ def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
     observables is the (m, d^2) stack of the solver, or anything that
     numpy reads as m d x d arrays. All B_i are rotated into one (m, d, d)
     buffer, their diagonals give the means, and since K >= 0 the buffer
-    scaled by sqrt(K) is a factor F with H = Re(F conj(F)^T) - <A><A>^T,
-    one real Gram product of F viewed as (m, 2 d^2) floats: symmetric
-    and positive semidefinite by construction.
+    scaled by sqrt(K) is a factor F with H = Re(F conj(F)^T) - <A><A>^T.
+    The Gram product, of F viewed as (m, 2 d^2) floats, is positive
+    semidefinite; H only up to rounding, which an offset makes large.
     """
     vals, vecs, p = state.vals, state.vecs, state.p
     gap = np.abs(vals[:, None] - vals[None, :])
@@ -306,6 +306,7 @@ def _spectral_brackets(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
         return (mid - radius).min(axis=1) + slack, (mid + radius).max(axis=1) - slack
 
 
+@single_blas_thread()
 def solve_quantum(
     prior: DensityMatrix,
     constraints: Sequence[QuantumConstraint],
@@ -332,38 +333,37 @@ def solve_quantum(
     if not prior.normalized:
         raise DomainError("prior must be normalized (unit trace)")
     dim = prior.dim
-    with single_blas_thread(dim):
-        constraints = list(constraints)
-        flat = _stack([c.observable for c in constraints], dim)
-        targets = np.array([c.target for c in constraints])
-        bounds = _spectral_brackets(flat, dim)
-        top = np.maximum(np.abs(bounds[0]), np.abs(bounds[1]))
-        # not >, so that a NaN bound is decided too
-        for k in np.flatnonzero(~(top <= np.finfo(float).max / (2 * dim))):
-            big = float(np.abs(flat[k].view(float)).max())
-            spec = np.abs(np.linalg.eigvalsh((flat[k] / big).reshape(dim, dim))).max()
-            if spec > np.finfo(float).max / big:
-                raise DomainError(
-                    f"constraint {k}: the observable's spectrum passes the float range, "
-                    f"its largest |eigenvalue| is {float(spec)!r} * {big!r}"
-                )
-        ln_phi = _log(prior)
+    constraints = list(constraints)
+    flat = _stack([c.observable for c in constraints], dim)
+    targets = np.array([c.target for c in constraints])
+    bounds = _spectral_brackets(flat, dim)
+    top = np.maximum(np.abs(bounds[0]), np.abs(bounds[1]))
+    # not >, so that a NaN bound is decided too
+    for k in np.flatnonzero(~(top <= np.finfo(float).max / (2 * dim))):
+        big = float(np.abs(flat[k].view(float)).max())
+        spec = np.abs(np.linalg.eigvalsh((flat[k] / big).reshape(dim, dim))).max()
+        if spec > np.finfo(float).max / big:
+            raise DomainError(
+                f"constraint {k}: the observable's spectrum passes the float range, "
+                f"its largest |eigenvalue| is {float(spec)!r} * {big!r}"
+            )
+    ln_phi = _log(prior)
 
-        def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
-            # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
-            means = (flat @ state.rho.T.ravel()).real
-            return state, state.ln_z, means - targets
+    def point(state: _GibbsState) -> tuple[_GibbsState, float, np.ndarray]:
+        # Tr(A_i rho) = sum_kl (A_i)_kl rho_lk
+        means = (flat @ state.rho.T.ravel()).real
+        return state, state.ln_z, means - targets
 
-        def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
-            # the one eigendecomposition per dual evaluation
-            return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
+    def evaluate(alpha: np.ndarray) -> tuple[_GibbsState, float, np.ndarray]:
+        # the one eigendecomposition per dual evaluation
+        return point(_gibbs(*np.linalg.eigh(_exponent(ln_phi, flat, alpha))))
 
-        return newton_dual(
-            lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
-            bounds, evaluate,
-            lambda state: _bkm_covariance(state, flat),
-            # eigh finds each eigenvalue of C to about eps times its spectral norm
-            lambda state: float(max(-state.vals[0], state.vals[-1])),
-            lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
-            _GibbsState.posterior, tol, max_iter,
-        )
+    return newton_dual(
+        lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
+        bounds, evaluate,
+        lambda state: _bkm_covariance(state, flat),
+        # eigh finds each eigenvalue of C to about eps times its spectral norm
+        lambda state: float(max(-state.vals[0], state.vals[-1])),
+        lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
+        _GibbsState.posterior, tol, max_iter,
+    )

@@ -48,6 +48,13 @@ class SpinProblem:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.a <= 0 or self.b <= 0:
             raise DomainError("prior weights a, b must be strictly positive")
+        # F and ln Z take 4 |c|^2 at the bracket's start, alpha = +-1
+        if not math.isfinite(4.0 * (self.cx * self.cx + self.cy * self.cy + self.cz * self.cz)):
+            raise DomainError(
+                f"|c| = {math.hypot(self.cx, self.cy, self.cz):.6e} must be at most "
+                f"{math.sqrt(np.finfo(float).max) / 2:.6e}, so that 4 |c|^2 stays inside the "
+                "float range"
+            )
 
 
 def _tanh_over(x: float) -> float:

@@ -301,6 +301,16 @@ def nan_on_third_zero_multiplier(monkeypatch):
     monkeypatch.setattr(checks, "check_zero_multiplier", patched)
 
 
+class TestRandomDensityMatrix:
+    def test_full_rank_up_to_dim_40_and_not_from_dim_56(self):
+        # its docstring said "always full rank"; the smallest weight falls
+        # like exp(-4 sqrt(dim)) and passes 1e-12 times the trace only at
+        # small dims
+        for dim, full in [(2, True), (4, True), (16, True), (40, True), (56, False)]:
+            rng = np.random.default_rng(0)
+            assert [random_density_matrix(rng, dim).is_full_rank() for _ in range(20)] == [full] * 20
+
+
 class TestRunAllChecks:
     def test_nan_deviation_fails_its_property(self, nan_on_third_zero_multiplier):
         # the aggregate kept max(worst, deviation) per name, and

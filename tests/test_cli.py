@@ -411,6 +411,18 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert math.isfinite(report["log_partition"])
 
+    def test_spin_file_whose_components_overflow_exits_error(self, tmp_path, capsys):
+        # it exited 2, calling the feasible target infeasible
+        path = write_problem(
+            tmp_path / "spin.json",
+            {"mode": "spin", "a": 0.5, "b": 0.5, "c": [0, 1e160, 0, 0], "target": 1e159},
+        )
+        assert main(["update", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: |c| = ")
+        assert captured.err.count("\n") == 1
+
     def test_spin_file_with_huge_prior_weights_exits_ok(self, tmp_path, capsys):
         # a * b overflowed to inf, so log_partition was written as null
         path = write_problem(

@@ -13,7 +13,6 @@ from qmaxent.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SINGLE_THREAD_MAX_DIM,
     matrix_exp,
     matrix_log,
     single_blas_thread,
@@ -228,6 +227,22 @@ def _planted_classical_problem(n, m, seed=0):
             [ClassicalConstraint(v, float(v @ rho)) for v in values])
 
 
+def _planted_quantum_problem(dim, m, seed=0):
+    """A full-rank prior on dim levels and m observables whose targets are met at a planted beta."""
+    rng = np.random.default_rng(seed)
+
+    def observable():
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return HermitianOperator((g + g.conj().T) / (2.0 * np.sqrt(dim)))
+
+    weights = matrix_exp(observable()).matrix
+    prior = DensityMatrix(weights / np.trace(weights).real)
+    observables = [observable() for _ in range(m)]
+    beta = rng.normal(scale=0.8 / np.sqrt(m), size=m)
+    rho = posterior_from_multipliers(prior, observables, beta).matrix
+    return prior, [QuantumConstraint(a, float(np.sum(a.matrix * rho.T).real)) for a in observables]
+
+
 class TestSingleBlasThread:
     """Both solvers run on one OpenBLAS thread and give the caller's count back."""
 
@@ -345,9 +360,29 @@ class TestSingleBlasThread:
         assert one.log_partition == three.log_partition
         assert np.array_equal(one.posterior.weights, three.posterior.weights)
 
+    def test_threaded_eigh_no_longer_moves_the_last_bits_of_quantum_results(
+            self, threads, monkeypatch):
+        # above dim 128 the quantum kernels ran on the caller's count: at
+        # dim 160 two threads moved the multipliers, ln Z and posterior by
+        # about 2e-16 against one thread
+        set_threads = linalg._openblas_threads()[1]
+        set_threads(1)
+        prior, constraints = _planted_quantum_problem(160, 4, seed=1)
+        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
+        reports = []
+        for count in (1, 2):
+            set_threads(count)
+            reports.append(solve_quantum(prior, constraints))
+        one, two = reports
+        assert one.converged
+        assert np.array_equal(one.multipliers, two.multipliers)
+        assert one.log_partition == two.log_partition
+        assert np.array_equal(one.posterior.matrix, two.posterior.matrix)
+        assert seen and set(seen) == {1}
+
     def test_nested_scopes_restore_the_count_once_the_outer_one_leaves(self, threads):
-        with single_blas_thread(4):
-            with single_blas_thread(8):
+        with single_blas_thread():
+            with single_blas_thread():
                 assert threads() == 1
             assert threads() == 1
             with pytest.raises(DomainError):
@@ -389,16 +424,6 @@ class TestSingleBlasThread:
         assert set(decompositions) == {1}
         assert hessians and set(hessians) == {1}
         assert threads() == 3
-
-    def test_a_dim_above_the_limit_keeps_the_callers_count(self, threads, monkeypatch):
-        with single_blas_thread(SINGLE_THREAD_MAX_DIM + 1):
-            assert threads() == 3
-        with single_blas_thread(SINGLE_THREAD_MAX_DIM):
-            assert threads() == 1
-        seen = self.spy(monkeypatch, np.linalg, "eigh", threads)
-        dim = SINGLE_THREAD_MAX_DIM + 1
-        DensityMatrix(np.eye(dim) / dim)
-        assert seen == [3]
 
     def test_without_openblas_the_scope_does_nothing(self, threads, monkeypatch):
         monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ class TestSpinProblem:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             SpinProblem(a=0.5, b=0.5, c1=0, cx=np.inf, cy=0, cz=1, target=0.1)
+
+    @pytest.mark.parametrize("cx", [1e154, 1e160, 1e200])
+    def test_components_whose_square_overflows_are_rejected_not_called_infeasible(self, cx):
+        # cx * cx and the bracket values at alpha = +-1 overflowed, so the
+        # feasible target cx / 10 raised "failed to bracket a multiplier"
+        with pytest.raises(DomainError, match=r"\|c\| .* must be at most 6\.703904e\+153"):
+            SpinProblem(a=0.5, b=0.5, c1=0, cx=cx, cy=0, cz=0, target=cx / 10)
+
+    def test_amplitude_bound_lies_where_four_times_its_square_leaves_the_float_range(self):
+        edge = math.sqrt(sys.float_info.max) / 2
+        for c in ([edge, 0.0, 0.0], [0.0, 0.0, -edge], [0.6 * edge, 0.8 * edge, 0.0]):
+            p = SpinProblem(a=0.5, b=0.5, c1=0, cx=c[0], cy=c[1], cz=c[2], target=edge / 10)
+            assert math.isfinite(spin_constraint_value(p, 1.0))
+        beyond = math.nextafter(edge, math.inf)
+        with pytest.raises(DomainError, match="4 \\|c\\|\\^2 stays inside the float range"):
+            SpinProblem(a=0.5, b=0.5, c1=0, cx=0, cy=beyond, cz=0, target=0.0)
 
 
 class TestTanhOver:

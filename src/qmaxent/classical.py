@@ -17,11 +17,11 @@ over the block.
 A distribution holds a read-only view of its weights and a constraint
 one of its values, not copies; a solve checks both where it reads them.
 A solve holds its one stacked copy of the values, the m x n constraint
-block, which it checks row by row, plus ln phi, one Gibbs weight vector
-at a time and one cache-sized (m, cols) buffer with its (cols,) row of
-sqrt(rho): the block and two length-n vectors. The Hessian is added up
-block by block in that buffer, so no Newton step makes an m x n
-temporary, and the posterior keeps the last weight vector, not a copy.
+block, which it checks row by row, plus ln phi and one Gibbs weight
+vector at a time: the block and two length-n vectors. Each Hessian is
+added up block by block in one cache-sized (m, cols) buffer allocated
+per Hessian, so no Newton step makes an m x n temporary, and the
+posterior keeps the last weight vector, not a copy.
 """
 
 from __future__ import annotations
@@ -181,26 +181,23 @@ def _check_problem(
     return a, np.array([c.target for c in constraints], dtype=float), bounds
 
 
-def _covariance(
-    a: np.ndarray, rho: np.ndarray, means: np.ndarray, block: np.ndarray
-) -> np.ndarray:
+def _covariance(a: np.ndarray, rho: np.ndarray, means: np.ndarray) -> np.ndarray:
     """sum_i rho_i (a_i - means)(a_i - means)^T, added up over column blocks.
 
-    Each block of columns is centered and scaled by sqrt(rho) into the
-    (m, cols) buffer, whose Gram product is added to the result; so the
-    covariance stays positive semidefinite by construction, and neither
-    an m x n temporary nor a length-n sqrt(rho) is made.
+    Each block of columns is centered and scaled by sqrt(rho) into one
+    cache-sized (m, cols) buffer, whose Gram product is added to the
+    result; so the covariance stays positive semidefinite by construction,
+    and neither an m x n temporary nor a length-n sqrt(rho) is made.
     """
     m, n = a.shape
-    cols = block.shape[1]
-    root = np.empty(cols)
+    cols = min(n, max(1, BLOCK_BYTES // (8 * m)))
+    block = np.empty((m, cols))
     hess = np.zeros((m, m))
     for s in range(0, n, cols):
         e = min(s + cols, n)
-        b, r = block[:, : e - s], root[: e - s]
+        b = block[:, : e - s]
         np.subtract(a[:, s:e], means[:, None], out=b)
-        np.sqrt(rho[s:e], out=r)
-        b *= r
+        b *= np.sqrt(rho[s:e])
         hess += b @ b.T
     return hess
 
@@ -225,7 +222,6 @@ def solve_classical(
     """
     constraints = list(constraints)
     a, t, bounds = _check_problem(prior, constraints)
-    m = len(constraints)
     ln_phi = np.log(prior.weights)
 
     def point(ln_w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
@@ -246,10 +242,9 @@ def solve_classical(
             ln_w += ln_phi
             return point(ln_w)
 
-    block = np.empty((m, min(prior.n, max(1, BLOCK_BYTES // (8 * max(m, 1))))))
     return newton_dual(
         lambda: point(ln_phi.copy()), t, bounds, evaluate,
-        lambda state: _covariance(a, *state, block),
+        lambda state: _covariance(a, *state),
         # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
         lambda state: 0.0,
         lambda d: d @ a,

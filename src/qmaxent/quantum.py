@@ -294,10 +294,10 @@ def _spectral_brackets(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
     pass the float range, as its spectrum then does, gets an infinite or
     NaN bound, without a warning.
     """
-    diag = flat[:, :: dim + 1].real
     # halved before they are added, so that entries near the float range
     # do not overflow; exact where the halves are normal numbers
-    mid = (diag[:, :, None] / 2.0 + diag[:, None, :] / 2.0).reshape(flat.shape)
+    half = flat[:, :: dim + 1].real / 2.0
+    mid = (half[:, :, None] + half[:, None, :]).reshape(flat.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         radius = np.abs(flat)
         slack = BRACKET_SLACK * dim * dim * np.finfo(float).eps * radius.max(axis=1)

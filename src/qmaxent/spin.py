@@ -183,7 +183,6 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
         )
 
     steps = 0
-    alpha = 0.5 * (lo + hi)
     for _ in range(1000):
         alpha = 0.5 * (lo + hi)
         steps += 1

@@ -779,9 +779,33 @@ def test_blocked_covariance_matches_the_direct_centered_formula(m):
         means = a @ rho
         scaled = (a - means[:, None]) * np.sqrt(rho)
         direct = scaled @ scaled.T
-        hess = classical._covariance(a, rho, means, np.empty((m, min(n, cols))))
+        hess = classical._covariance(a, rho, means)
         np.testing.assert_array_equal(hess, hess.T)
         scale = float(np.max(np.abs(direct)))
         assert float(np.max(np.abs(hess - direct))) <= 1e-13 * scale
         vals = np.linalg.eigvalsh(hess)
         assert vals[0] >= -1e-15 * vals[-1]
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_blocked_covariance_peaks_at_one_block_and_one_row(m):
+    # the (m, cols) block, one (cols,) row of sqrt(rho) and the (m, m)
+    # result, never an m x n temporary (two blocks and more at this n);
+    # where the row is shorter than numpy's ufunc buffer, numpy 2.4 copies
+    # it, broadcast, into that buffer to scale the block, and a few small
+    # array and slice objects come on top
+    cols = max(1, classical.BLOCK_BYTES // (8 * m))
+    n = 2 * cols + 3
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(m, n))
+    rho = rng.random(n) + 0.01
+    rho /= rho.sum()
+    means = a @ rho
+    tracemalloc.start()
+    try:
+        classical._covariance(a, rho, means)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffered = 8 * np.getbufsize() if cols < np.getbufsize() else 0
+    assert peak <= 8 * (m * cols + cols + m * m) + buffered + 4096

@@ -267,6 +267,32 @@ class TestSolveSpin:
             math.atanh(0.3) + 100 * math.log(10), abs=2e-12
         )
 
+    # the scale defect of CHANGES.md:59, which a per-observable scale
+    # (ROADMAP item 3) mends; each case reaches one statement of solve_spin
+    @pytest.mark.xfail(
+        strict=True, raises=InfeasibleTargetError,
+        reason="CHANGES.md:59: the bracket doubles from +-1 only 300 times",
+    )
+    def test_small_observable_brackets_a_multiplier_far_beyond_one(self):
+        # alpha = atanh(0.5) / 1e-150 is past 2^300; this raises
+        # "failed to bracket a multiplier"
+        p = SpinProblem(a=0.5, b=0.5, c1=0, cx=1e-150, cy=0, cz=0, target=5e-151)
+        report = solve_spin(p)
+        assert report.converged
+        assert report.multipliers[0] * p.cx == pytest.approx(math.atanh(0.5), rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="CHANGES.md:59: the bisection stops at an absolute width",
+    )
+    def test_large_observable_bisects_to_tol(self):
+        # the bracket narrows to 4e-16 max(1, |alpha|) before |F - target|
+        # reaches tol, and the report says converged=False, residual -8.3e-9
+        p = SpinProblem(a=0.5, b=0.5, c1=0, cx=1e4, cy=0, cz=0, target=1e3)
+        report = solve_spin(p)
+        assert report.converged
+        assert report.multipliers[0] * p.cx == pytest.approx(math.atanh(0.1), rel=1e-12)
+
     @pytest.mark.parametrize(
         "a, b",
         [(1e-200, 1e-200), (1e200, 1e200), (1e200, 1e-200), (1e-200, 1e200)],

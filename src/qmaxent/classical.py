@@ -186,8 +186,7 @@ def _covariance(a: np.ndarray, rho: np.ndarray, means: np.ndarray) -> np.ndarray
 
     Each block of columns is centered and scaled by sqrt(rho) into one
     cache-sized (m, cols) buffer, whose Gram product is added to the
-    result; so the covariance stays positive semidefinite by construction,
-    and neither an m x n temporary nor a length-n sqrt(rho) is made.
+    result, so neither an m x n temporary nor a length-n sqrt(rho) is made.
     """
     m, n = a.shape
     cols = min(n, max(1, BLOCK_BYTES // (8 * m)))

@@ -105,7 +105,9 @@ def newton_dual(
     holds one Gibbs weight vector, not two. Where the line search
     stalls, the posterior's state is built again, by start() if no step
     was taken and else by evaluate(alpha); both are deterministic.
-    hessian(state) is the covariance of the observables in that state;
+    hessian(state) is the covariance of the observables in that state, on
+    both paths the Gram product of a centered, square-root-weighted factor,
+    so positive semidefinite by construction;
     ROUNDING * magnitude(state) bounds the rounding error of ln Z beyond that
     of |ln Z| itself (for a quantum problem, the eigenvalue solve's, which
     is set by the spectral norm of C, not by ln Z); spectrum(d) gives the

@@ -15,10 +15,10 @@ the prior's decomposition at construction gives; the posterior comes
 from the last one of C, so a solve runs no other. The observables are
 read once per solve, into an (m, d^2) stack, so C and the m means are
 one matrix-vector product each and the Hessian is one Gram product of
-the rotated, kernel-scaled observables. One bracket of Rayleigh quotients
-over all rows bounds each target's range for newton_dual, which takes
-an eigenvalue solve only where a row's bracket cannot tell. The Newton
-iteration is qmaxent.dual.newton_dual, shared with the classical solver.
+the rotated observables, centered and kernel-scaled. One bracket of
+Rayleigh quotients over all rows bounds each target's range for
+newton_dual, the Newton iteration the classical solver shares; it
+takes an eigenvalue solve only where a row's bracket cannot tell.
 """
 
 from __future__ import annotations
@@ -234,10 +234,8 @@ def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
 
     observables is the (m, d^2) stack of the solver, or anything that
     numpy reads as m d x d arrays. All B_i are rotated into one (m, d, d)
-    buffer, their diagonals give the means, and since K >= 0 the buffer
-    scaled by sqrt(K) is a factor F with H = Re(F conj(F)^T) - <A><A>^T.
-    The Gram product, of F viewed as (m, 2 d^2) floats, is positive
-    semidefinite; H only up to rounding, which an offset makes large.
+    buffer and their diagonals centered by the means; as K_kk = p_k, that
+    buffer scaled by sqrt(K) >= 0 is a factor F with H = Re(F conj(F)^T).
     """
     vals, vecs, p = state.vals, state.vecs, state.p
     gap = np.abs(vals[:, None] - vals[None, :])
@@ -255,9 +253,10 @@ def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
         b[...] = vh @ b
     flat = rotated.reshape(m, d * d)
     means = flat[:, :: d + 1].real @ p
+    flat[:, :: d + 1] -= means[:, None]
     rotated *= np.sqrt(kernel)
     factor = flat.view(np.float64)
-    return factor @ factor.T - np.outer(means, means)
+    return factor @ factor.T
 
 
 def posterior_from_multipliers(

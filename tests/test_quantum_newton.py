@@ -120,6 +120,23 @@ def planted_problem(seed, dim, m):
     return prior, [QuantumConstraint(o, expectation(reference, o)) for o in obs], beta
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+def test_offset_moves_the_bkm_hessian_only_by_rounding(offset):
+    # A + cI has the covariance of A. An uncentered Gram product minus
+    # <A><A>^T cancels two terms of size c^2 and misses by 2.5e4 eps c at
+    # c = 1e4 up to 3.8e8 eps c at c = 1e8 on these problems; centering
+    # the rotated diagonals keeps the error under 3 eps c
+    rng = np.random.default_rng(7)
+    for seed in range(20):
+        prior, cons, _ = planted_problem(seed, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+        obs = [c.observable for c in cons]
+        shifted = [HermitianOperator(o.matrix + offset * np.eye(prior.dim)) for o in obs]
+        alpha = np.zeros(len(obs))
+        hess = exact_hessian(prior, obs, alpha)
+        error = np.abs(exact_hessian(prior, shifted, alpha) - hess).max()
+        assert error <= 100 * np.finfo(float).eps * offset * np.abs(hess).max()
+
+
 def test_eigh_calls_are_one_per_dual_evaluation(monkeypatch):
     # one per line-search trial; this problem takes four full Newton
     # steps, so no halvings add to it. The starting state and the prior's

@@ -233,9 +233,9 @@ def solve_classical(
 
     def evaluate(alpha: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
         # jointly infeasible targets drive alpha far out, where a^T alpha
-        # and ln Z overflow; newton_dual rejects a trial whose G or
-        # gradient is not finite, and an exponent of -inf only makes a
-        # weight 0, so that overflow is no error
+        # and ln Z overflow; newton_dual rejects a trial whose gradient
+        # is not finite, and an exponent of -inf only makes a weight 0,
+        # so that overflow is no error
         with np.errstate(over="ignore", invalid="ignore"):
             ln_w = a.T @ alpha
             ln_w += ln_phi
@@ -244,8 +244,6 @@ def solve_classical(
     return newton_dual(
         lambda: point(ln_phi.copy()), t, bounds, evaluate,
         lambda state: _covariance(a, *state),
-        # logsumexp rounds ln Z to about eps |ln Z|, which newton_dual counts
-        lambda state: 0.0,
         lambda d: d @ a,
         lambda state: ClassicalDistribution._from_weights(state[0]), tol, max_iter,
     )

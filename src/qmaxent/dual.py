@@ -22,10 +22,8 @@ from .report import SolverReport
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 RCOND = 1e-12
-ARMIJO = 1e-4
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
 STEP_SCALES = 0.5 ** np.arange(40)
-ROUNDING = 64 * np.finfo(float).eps
 
 
 def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -54,28 +52,38 @@ def _norm(x: np.ndarray) -> float:
     return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
+def _squared_norm(r: np.ndarray) -> float:
+    """r.r, the metric of a -grad step."""
+    return float(r @ r)
+
+
 def _newton_step(
     hess: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """One SVD of H gives the step, its slope grad.step and, as rows, H's null directions.
+) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray]:
+    """One SVD of H gives the step, its metric decrement(r) and, as rows, H's null directions.
 
     Singular values above RCOND times the largest give the Newton step, or
     the pseudoinverse step if H is rank deficient, flat along the dropped
-    singular vectors; a non-finite H or a non-descent step gives -grad.
+    singular vectors, and decrement(r) = r.H+r over the kept ones, so that
+    decrement(grad) = -grad.step; a non-finite H or a non-descent step
+    gives -grad, with decrement(r) = r.r.
     """
     if not np.all(np.isfinite(hess)):
-        return -grad, float(grad @ -grad), np.empty((0, len(grad)))
+        return -grad, _squared_norm, np.empty((0, len(grad)))
     u, s, vt = np.linalg.svd(hess)
     keep = s > RCOND * s[0]
-    # a step that overflows is replaced below, and a slope that overflows
-    # to -inf fails the Armijo test, so their overflow is no error
+    ut, sk, v = u[:, keep].T, s[keep], vt[keep].T
+
+    def decrement(r: np.ndarray) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(r @ (v @ ((ut @ r) / sk)))
+
+    # a step that overflows is replaced below, so its overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
-        step = -vt[keep].T @ ((u[:, keep].T @ grad) / s[keep])
-        slope = float(grad @ step)
-    if not (np.all(np.isfinite(step)) and slope < 0):
-        step = -grad
-        slope = float(grad @ step)
-    return step, slope, vt[~keep]
+        step = -v @ ((ut @ grad) / sk)
+    if np.all(np.isfinite(step)) and decrement(grad) > 0:
+        return step, decrement, vt[~keep]
+    return -grad, _squared_norm, vt[~keep]
 
 
 def newton_dual(
@@ -84,7 +92,6 @@ def newton_dual(
     bounds: tuple[np.ndarray, np.ndarray],
     evaluate: Callable[[np.ndarray], tuple[Any, float, np.ndarray]],
     hessian: Callable[[Any], np.ndarray],
-    magnitude: Callable[[Any], float],
     spectrum: Callable[[np.ndarray], np.ndarray],
     posterior: Callable[[Any], Any],
     tol: float,
@@ -100,23 +107,25 @@ def newton_dual(
     the triple, so that no caller's frame holds the starting state, for a
     classical problem one more length-n vector, until the solve returns.
     The driver holds one state at a time: it drops the accepted state once
-    the step and the line search's noise bound are computed, and each
-    rejected trial before it evaluates the next, so a classical solve
-    holds one Gibbs weight vector, not two. Where the line search
-    stalls, the posterior's state is built again, by start() if no step
-    was taken and else by evaluate(alpha); both are deterministic.
-    hessian(state) is the covariance of the observables in that state, on
-    both paths the Gram product of a centered, square-root-weighted factor,
-    so positive semidefinite by construction;
-    ROUNDING * magnitude(state) bounds the rounding error of ln Z beyond that
-    of |ln Z| itself (for a quantum problem, the eigenvalue solve's, which
-    is set by the spectral norm of C, not by ln Z); spectrum(d) gives the
-    eigenvalues of sum_i d_i A_i (for a classical problem, its values
-    on the states); posterior(state) is the reported posterior. The
-    iteration stops when max |gradient| <= tol, which an empty gradient
-    meets at once: a problem with no targets returns the start. If it
-    stops otherwise, on a stalled line search or after max_iter steps,
-    _certify may raise InfeasibleTargetError. tol must be finite and
+    the step is computed, and each rejected trial before it evaluates the
+    next, so a classical solve holds one Gibbs weight vector, not two.
+    Where the line search stalls, the posterior's state is built again,
+    by start() if no step was taken and else by evaluate(alpha); both are
+    deterministic. hessian(state) is the covariance of the observables in
+    that state, on both paths the Gram product of a centered,
+    square-root-weighted factor, so positive semidefinite by construction;
+    spectrum(d) gives the eigenvalues of sum_i d_i A_i (for a classical
+    problem, its values on the states); posterior(state) is the reported
+    posterior. The line search halves the step from 1 until a trial's
+    gradient r has decrement(r) <= (1 - scale / 4)^2 decrement(grad)
+    (_newton_step), Deuflhard's natural monotonicity test, which a NaN r
+    fails; it reads no ln Z, so it needs nothing about how a solver rounds
+    it. The iteration stops when max |gradient| <= tol, which an empty
+    gradient meets at once: a problem with no targets returns the start.
+    _certify may raise InfeasibleTargetError before the line search of a
+    -grad step, or of one that leaves more than tol of the gradient along
+    a null direction of H, and once the iteration stops otherwise, on a
+    stalled line search or after max_iter steps. tol must be finite and
     positive and max_iter a non-negative integer, whatever the number of
     targets: a NaN tol stops the loop at once, -1 never. bounds = (lo, hi)
     lie inside each row's spectral range; a target t_k outside them is
@@ -137,26 +146,22 @@ def newton_dual(
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise DomainError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     alpha = np.zeros(len(targets))
-    targets_norm = _norm(targets)
     state, ln_z, grad = start()
     # what state holds from the first trial until one is accepted
     dropped = object()
     steps = 0
     stop = None
     while float(np.max(np.abs(grad), initial=0.0)) > tol:
-        step, slope, null = _newton_step(hessian(state), grad)
+        step, decrement, null = _newton_step(hessian(state), grad)
         if steps == max_iter:
             stop = f"no convergence in {max_iter} iterations"
             break
-        # Armijo decrease of G, except where the predicted decrease is
-        # within the rounding error of G itself, near the optimum: there a
-        # smaller residual norm is accepted, since the gradient stays
-        # accurate down to machine scale and G does not. A trial whose G
-        # or gradient is not finite fails both tests, so a G that
-        # overflows in alpha.t is no error
-        g0 = ln_z - float(alpha @ targets)
-        noise = ROUNDING * (abs(ln_z) + magnitude(state) + _norm(alpha) * targets_norm)
-        grad_norm = float(np.linalg.norm(grad))
+        # a -grad step, or residual along H's null space: alpha may be
+        # running off toward a face of the reachable set
+        if decrement is _squared_norm or np.any(np.abs(null @ grad) > tol):
+            _certify(null, alpha, grad, spectrum, targets, tol,
+                     f"singular Hessian after {steps} iterations")
+        bound = decrement(grad)
         # one state at a time: the accepted one is dropped before the
         # first trial, and each rejected trial before the next
         state = dropped
@@ -164,12 +169,7 @@ def newton_dual(
             cand = alpha + scale * step
             cand_state = None
             cand_state, cand_ln_z, cand_grad = evaluate(cand)
-            if -scale * slope > noise:
-                with np.errstate(over="ignore"):
-                    cand_g = cand_ln_z - float(cand @ targets)
-                if cand_g <= g0 + ARMIJO * scale * slope:
-                    break
-            elif float(np.linalg.norm(cand_grad)) < grad_norm:
+            if decrement(cand_grad) <= (1 - scale / 4) ** 2 * bound:
                 break
         else:
             stop = "line search stalled"
@@ -177,7 +177,7 @@ def newton_dual(
         alpha, state, ln_z, grad = cand, cand_state, cand_ln_z, cand_grad
         steps += 1
     if stop:
-        _certify(null, alpha, spectrum, targets, tol, stop)
+        _certify(null, alpha, grad, spectrum, targets, tol, stop)
     if state is dropped:
         # the line search stalled after dropping the accepted state; both
         # builders are deterministic, so this is that state again
@@ -196,6 +196,7 @@ def newton_dual(
 def _certify(
     null: np.ndarray,
     alpha: np.ndarray,
+    grad: np.ndarray,
     spectrum: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
     tol: float,
@@ -207,19 +208,21 @@ def _certify(
     d.t - max spectrum(d) above a margin is a Farkas certificate that no
     state meets the targets. It is sound along any d and depends only on
     d's direction, so the decision does not depend on the units of the
-    observables. stop says why the iteration ended.
+    observables. stop says why the iteration ended, or is checked early.
 
-    The candidates are alpha/|alpha|, with margin 0, and either sign of
-    each row of null, the unit Hessian null directions that the step's SVD
-    dropped, with margin tol. Where sum_i d_i A_i is a constant c, every
-    state has sum_i d_i <A_i> = c, spectrum(d) is that one point, and the
-    tests along d and -d together are |d.grad| = |c - d.t| > tol: targets
-    that contradict the dependency by more than tol. Targets that meet it
-    exactly put d.t on c, where rounding can leave spectrum(d) on either
-    side of d.t, so a margin of 0 would certify some feasible problems.
+    The candidates are alpha/|alpha| and -grad/|grad|, which separates
+    where the mean <A> is the reachable point nearest to t, with margin 0,
+    and either sign of each row of null, the unit Hessian null directions
+    that the step's SVD dropped, with margin tol. Where sum_i d_i A_i is a
+    constant c, every state has sum_i d_i <A_i> = c, spectrum(d) is that
+    one point, and the tests along d and -d together are |d.grad| =
+    |c - d.t| > tol: targets that contradict the dependency by more than
+    tol. Targets that meet it exactly put d.t on c, where rounding can
+    leave spectrum(d) on either side of d.t, so a margin of 0 would
+    certify some feasible problems.
     """
     norm = _norm(alpha)
-    candidates = [(alpha / norm, 0.0)] if norm > 0 else []
+    candidates = [(v / _norm(v), 0.0) for v in (alpha, -grad) if _norm(v) > 0]
     candidates += [(d, tol) for d in np.concatenate([null, -null])]
     for d, margin in candidates:
         top = float(spectrum(d).max())

@@ -361,8 +361,6 @@ def solve_quantum(
         lambda: point(_gibbs(np.log(prior.eigenvalues), prior.eigenvectors)), targets,
         bounds, evaluate,
         lambda state: _bkm_covariance(state, flat),
-        # eigh finds each eigenvalue of C to about eps times its spectral norm
-        lambda state: float(max(-state.vals[0], state.vals[-1])),
         lambda d: np.linalg.eigvalsh((d @ flat).reshape(ln_phi.shape)),
         _GibbsState.posterior, tol, max_iter,
     )

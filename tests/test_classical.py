@@ -64,6 +64,14 @@ def _study_draws():
     return draws
 
 
+def _count_newton_steps(monkeypatch):
+    """A list that gains one entry per Newton step the shared driver computes."""
+    steps = []
+    step = dual._newton_step
+    monkeypatch.setattr(dual, "_newton_step", lambda *args: steps.append(1) or step(*args))
+    return steps
+
+
 class TestClassicalDistribution:
     def test_auto_detects_normalization(self):
         assert ClassicalDistribution([0.25, 0.75]).normalized
@@ -482,7 +490,8 @@ class TestNewtonDriverRegressions:
         # a feasible, well-conditioned n = 5, m = 2 problem (planted near
         # beta = (-1.44959, -0.15259)) on which backtracking on the
         # residual norm stalled at alpha = (-143, 184) with residual 0.15;
-        # Armijo decrease of the dual value goes straight to the optimum
+        # the residual in the Newton step's own metric, r.H+r, goes
+        # straight to the optimum
         prior = ClassicalDistribution([1.24321, 0.95866, 1.03605, 1.98821, 0.30314])
         cons = [
             ClassicalConstraint([1.24594, -0.75542, -0.15025, 0.63541, -1.82765], -1.03476),
@@ -602,20 +611,53 @@ class TestNewtonDriverRegressions:
         with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_classical(ClassicalDistribution(prior), cons)
 
-    def test_study_draws_keep_their_outcomes(self):
+    def test_study_draws_keep_their_outcomes(self, monkeypatch):
         # the 2000 draws' outcomes, against which changes to newton_dual are
-        # measured; every draw is now either converged or certified
+        # measured; every draw is now either converged or certified. The
+        # certified draws take 6473 Newton steps: 23227 when the
+        # certificate ran only once the iteration stopped, 76 of them after
+        # all 200 iterations
+        steps = _count_newton_steps(monkeypatch)
         outcomes = Counter()
+        certified_steps = 0
         for prior, a, t in _study_draws():
             cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]
+            steps.clear()
             try:
                 report = solve_classical(ClassicalDistribution(prior), cons)
             except InfeasibleTargetError as exc:
                 assert "Farkas certificate" in str(exc)
                 outcomes["farkas"] += 1
+                certified_steps += len(steps)
             else:
                 outcomes["converged" if report.converged else "uncertified"] += 1
         assert outcomes == {"converged": 940, "farkas": 1060}
+        assert certified_steps <= 7000
+
+    def test_draw_walking_out_along_one_direction_is_certified_early(self, monkeypatch):
+        # draw 177 took 96 -grad steps along one fixed direction, then a step
+        # whose slope overflowed, and was certified only when that step's
+        # line search stalled, after 97 Newton steps; the certificate now
+        # runs before the line search of every -grad step (10 steps)
+        steps = _count_newton_steps(monkeypatch)
+        prior, a, t = _study_draws()[177]
+        cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
+            solve_classical(ClassicalDistribution(prior), cons)
+        assert len(steps) <= 15
+
+    def test_draw_with_all_weight_on_one_state_is_certified_by_minus_grad(self, monkeypatch):
+        # draw 1168 reaches |alpha| ~ 1e8 in two steps, where all the weight
+        # sits on one state and H = 0: every direction is a null direction,
+        # and neither they nor alpha/|alpha| separate the targets. That state
+        # is the reachable point nearest to t, so -grad/|grad| does (3 steps;
+        # 201, at max_iter, before the early certificate)
+        steps = _count_newton_steps(monkeypatch)
+        prior, a, t = _study_draws()[1168]
+        cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]
+        with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
+            solve_classical(ClassicalDistribution(prior), cons)
+        assert len(steps) <= 15
 
     def test_large_partition_function_solves_without_overflow_warning(self):
         # ln Z ~ 2199 here; the report used to store exp(ln Z) and numpy

@@ -24,8 +24,8 @@ class TestNewtonStep:
         b = rng.normal(size=(5, 5))
         hess = b @ b.T + np.eye(5)
         grad = rng.normal(size=5)
-        step, slope, null = _newton_step(hess, grad)
-        assert slope == float(grad @ step)
+        step, decrement, null = _newton_step(hess, grad)
+        assert decrement(grad) == -float(grad @ step)
         expected = np.linalg.solve(hess, -grad)
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (0, 5)
@@ -36,8 +36,8 @@ class TestNewtonStep:
         b = rng.normal(size=(5, 2))
         hess = b @ b.T
         grad = rng.normal(size=5)
-        step, slope, null = _newton_step(hess, grad)
-        assert slope == float(grad @ step)
+        step, decrement, null = _newton_step(hess, grad)
+        assert decrement(grad) == -float(grad @ step)
         expected = -np.linalg.pinv(hess, rcond=RCOND) @ grad
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (3, 5)
@@ -51,8 +51,8 @@ class TestNewtonStep:
     def test_non_finite_hessian_gives_steepest_descent(self, bad):
         grad = np.array([0.3, -1.2])
         hess = np.array([[1.0, bad], [bad, 2.0]])
-        step, slope, null = _newton_step(hess, grad)
-        assert slope == float(grad @ step)
+        step, decrement, null = _newton_step(hess, grad)
+        assert decrement(grad) == float(grad @ grad)
         np.testing.assert_array_equal(step, -grad)
         assert len(null) == 0
 
@@ -78,7 +78,7 @@ def test_dependency_certificate_runs_no_hermitian_eigensolve(monkeypatch):
 
 def _classical_solve(max_iter):
     # jointly infeasible: P(1) + P(2) = 1.2; an uncapped loop ran on until
-    # the line search stalled
+    # the line search stalled, and the -grad candidate certifies it at once
     prior = ClassicalDistribution([1.0, 1.0, 1.0])
     cons = [ClassicalConstraint([1.0, 0.0, 0.0], 0.6), ClassicalConstraint([0.0, 1.0, 0.0], 0.6)]
     return solve_classical(prior, cons, max_iter=max_iter)
@@ -102,10 +102,20 @@ class TestMaxIterArgument:
         with pytest.raises(DomainError, match="max_iter must be a non-negative integer"):
             solve(max_iter)
 
-    def test_zero_max_iter_takes_no_step(self, solve):
-        report = solve(np.int64(0))
-        assert report.iterations == 0
-        assert not report.converged
+
+def test_zero_max_iter_certifies_the_classical_fixture_at_the_start():
+    # at alpha = 0, t - <A> = (0.6, 0.6) - (1/3, 1/3) is normal to the face
+    # P(1) + P(2) = 1 that the targets lie beyond, so the -grad candidate
+    # separates them before any step
+    with pytest.raises(InfeasibleTargetError, match="no convergence in 0 iterations at "
+                       r"\|alpha\| = 0.000e\+00; along d = \[0.707107 0.707107\].*Farkas"):
+        _classical_solve(np.int64(0))
+
+
+def test_zero_max_iter_takes_no_step():
+    report = _quantum_solve(np.int64(0))
+    assert report.iterations == 0
+    assert not report.converged
 
 
 def _start_and_evaluate(monkeypatch, module, solve, prior, constraints):
@@ -176,36 +186,27 @@ class TestStartState:
 
 
 class TestLineSearchRounding:
-    """A trial's G may be off by the rounding that magnitude(state) declares.
+    """The line search reads the gradient alone, so a rounded ln Z cannot stall it.
 
     G = alpha^2 / 2 - alpha t with t = 4e-8: the full Newton step lowers G
     by 8e-16, and each trial's ln Z is 1e-13 too high, as an eigensolve of
-    a C of norm 1e3 may round it while ln Z itself is near 0.
+    a C of norm 1e3 may round it while ln Z itself is near 0. Armijo on G
+    rejected every trial unless the solver declared that rounding.
     """
 
-    @staticmethod
-    def _solve(magnitude):
+    def test_rounding_of_ln_z_does_not_stall_the_newton_step(self):
         t = np.array([4e-8])
 
         def point(alpha, error):
             return None, 0.5 * float(alpha @ alpha) + error, alpha - t
 
-        return newton_dual(
+        report = newton_dual(
             lambda: point(np.zeros(1), 0.0), t, (-np.inf, np.inf),
             lambda alpha: point(alpha, 1e-13),
-            lambda state: np.eye(1), magnitude, lambda d: d, lambda state: state,
-            1e-12, 5,
+            lambda state: np.eye(1), lambda d: d, lambda state: state, 1e-12, 5,
         )
-
-    def test_declared_rounding_lets_the_newton_step_through(self):
-        report = self._solve(lambda state: 1e3)
         assert report.converged
         assert report.iterations == 1
-
-    def test_undeclared_rounding_stalls_the_line_search(self):
-        report = self._solve(lambda state: 0.0)
-        assert not report.converged
-        assert report.iterations == 0
 
 
 def _planted_problem(rng, k):
@@ -323,8 +324,7 @@ class TestOneStateAtATime:
 
         report = newton_dual(
             start, np.array([1.0]), (-np.inf, np.inf), evaluate, lambda state: 2 * np.eye(1),
-            lambda state: 0.0, lambda d: np.array([10.0]), lambda state: state.origin,
-            1e-12, 10,
+            lambda d: np.array([10.0]), lambda state: state.origin, 1e-12, 10,
         )
         return report, calls, live_at_evaluate
 
@@ -413,8 +413,7 @@ class TestRangeTest:
 
         return newton_dual(
             lambda: point(np.zeros(2)), t, (np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
-            point, lambda state: np.eye(2), lambda state: 0.0, spectrum, lambda state: state,
-            tol, 5,
+            point, lambda state: np.eye(2), spectrum, lambda state: state, tol, 5,
         )
 
     def test_targets_inside_the_bounds_take_no_spectrum(self):

@@ -204,7 +204,7 @@ class TestLogSumExp:
         assert abs(float(x.sum()) - 1.0) <= 4 * np.finfo(float).eps
 
     def test_quantum_gibbs_keeps_the_eigenvalues_it_stores(self):
-        # the BKM kernel's gaps and the rounding magnitude read state.vals
+        # the BKM kernel's gaps read state.vals
         from qmaxent import quantum
 
         vals = np.array([-1.5, 0.25, 2.0])

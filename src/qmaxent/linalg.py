@@ -141,7 +141,9 @@ class HermitianOperator:
             more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
             raise DomainError(f"matrix has non-finite entries at {entries}{more}")
         adj = arr.conj().T
-        drift = float(np.max(np.abs(arr - adj)))
+        # a difference that overflows is an infinite drift, rejected below
+        with np.errstate(over="ignore"):
+            drift = float(np.max(np.abs(arr - adj)))
         scale = float(np.max(np.abs(arr)))
         if drift > HERMITICITY_TOL * scale:
             raise DomainError(

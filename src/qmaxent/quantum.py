@@ -60,7 +60,11 @@ class DensityMatrix:
         return state
 
     def _setup(self, matrix, eigenvalues, eigenvectors) -> None:
-        trace = float(np.trace(matrix).real)
+        # finite entries can still sum past the float range
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(matrix).real)
+        if not np.isfinite(trace):
+            raise DomainError(f"trace must be finite, got {trace!r}")
         if trace <= 0:
             raise DomainError("trace must be positive")
         # relative to the trace, as eigh's rounding is; not >=, so that a

@@ -1,17 +1,19 @@
 """Closed-form single-qubit updating.
 
 For a diagonal prior diag(a, b) and one observable
-A = c1*I + cx*sx + cy*sy + cz*sz, the exponent
-C = alpha*A + ln phi decomposes as lam*I + w.sigma with
-w = (alpha*cx, alpha*cy, alpha*cz + ln(a/b)/2), so every quantity has an
-explicit formula: eigenvalues lam +- |w|, partition 2 e^lam cosh|w|,
-posterior (I + tanh|w| what.sigma)/2, and constraint value
+A = c1*I + cx*sx + cy*sy + cz*sz, the exponent C = alpha*A + ln phi
+decomposes as lam*I + w.sigma with lam = alpha*c1 + (ln a + ln b)/2 and
+w = (alpha*cx, alpha*cy, alpha*cz + ln(a/b)/2). Every quantity follows
+from the posterior's Bloch vector r = tanh|w| w/|w|: the partition
+function 2 e^lam cosh|w|, the posterior (I + r.sigma)/2 and the
+constraint value
 
-    F(alpha) = c1 + tanh(d)/(2d) * (2*alpha*(cx^2+cy^2+cz^2) + cz*ln(a/b))
+    F(alpha) = c1 + c.r
 
-with d = |w|. F is nondecreasing with range (c1 - |c|, c1 + |c|), so the
-multiplier is found by bracketing and bisection, independent of any
-eigensolver.
+F is nondecreasing with range (c1 - |c|, c1 + |c|). The multiplier is
+found by bisection in the scale-free u = alpha*|c|, on the unit
+observable c/|c| with target (target - c1)/|c|, independent of any
+eigensolver; no |c|^2 is formed, so every finite |c| is accepted.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .report import SolverReport
 
 DEFAULT_TOL = 1e-12
 SERIES_CUTOFF = 1e-6
+# |ln a - ln b| < 1455 for positive floats, so beyond |u| = 2^40 the unit
+# observable's value is within 3e-19 of -1 or 1, below its rounding: this
+# bracket holds every target that floats can tell from the range's edge
+U_BRACKET = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,9 @@ class SpinProblem:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.a <= 0 or self.b <= 0:
             raise DomainError("prior weights a, b must be strictly positive")
-        # F and ln Z take 4 |c|^2 at the bracket's start, alpha = +-1
-        if not math.isfinite(4.0 * (self.cx * self.cx + self.cy * self.cy + self.cz * self.cz)):
+        if not math.isfinite(math.hypot(self.cx, self.cy, self.cz)):
             raise DomainError(
-                f"|c| = {math.hypot(self.cx, self.cy, self.cz):.6e} must be at most "
-                f"{math.sqrt(np.finfo(float).max) / 2:.6e}, so that 4 |c|^2 stays inside the "
-                "float range"
+                f"|c| = hypot({self.cx!r}, {self.cy!r}, {self.cz!r}) must be finite"
             )
 
 
@@ -65,23 +68,19 @@ def _tanh_over(x: float) -> float:
     return math.tanh(x) / x
 
 
-def _log_ratio(p: SpinProblem) -> float:
-    """ln(a/b), from the two logs: a * b and a / b can leave the float range."""
-    return math.log(p.a) - math.log(p.b)
+def _bloch(p: SpinProblem, alpha: float) -> tuple[list[float], float]:
+    """(r, |w|): the posterior's Bloch vector r = tanh|w| w/|w| and |w|.
 
-
-def _bloch_parts(p: SpinProblem, alpha: float) -> tuple[float, float]:
-    """(lam, half_gap): exponent is lam*I + w.sigma with |w| = half_gap."""
-    lam = alpha * p.c1 + 0.5 * (math.log(p.a) + math.log(p.b))
-    half_gap = 0.5 * math.sqrt(
-        (2.0 * alpha * p.cz + _log_ratio(p)) ** 2
-        + 4.0 * alpha * alpha * (p.cx * p.cx + p.cy * p.cy)
-    )
-    return lam, half_gap
+    ln(a/b) is taken from the two logs: a / b can leave the float range.
+    """
+    w = [alpha * p.cx, alpha * p.cy, alpha * p.cz + 0.5 * (math.log(p.a) - math.log(p.b))]
+    half_gap = math.hypot(*w)
+    t = _tanh_over(half_gap)
+    return [t * x for x in w], half_gap
 
 
 def spin_partition(p: SpinProblem, alpha: float) -> float:
-    """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh(half_gap).
+    """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh|w|.
 
     Taken as exp(ln Z), so it is inf where Z exceeds the float range.
     """
@@ -92,27 +91,22 @@ def spin_partition(p: SpinProblem, alpha: float) -> float:
 
 
 def _log_partition(p: SpinProblem, alpha: float) -> float:
-    lam, half_gap = _bloch_parts(p, alpha)
+    _, half_gap = _bloch(p, alpha)
+    lam = alpha * p.c1 + 0.5 * (math.log(p.a) + math.log(p.b))
     return lam + half_gap + math.log1p(math.exp(-2.0 * half_gap))
 
 
 def spin_constraint_value(p: SpinProblem, alpha: float) -> float:
-    """F(alpha) = Tr(rho(alpha) A) = d/dalpha ln Z."""
-    _, half_gap = _bloch_parts(p, alpha)
-    amp2 = p.cx * p.cx + p.cy * p.cy + p.cz * p.cz
-    numerator = 2.0 * alpha * amp2 + p.cz * _log_ratio(p)
-    return p.c1 + 0.5 * _tanh_over(half_gap) * numerator
+    """F(alpha) = Tr(rho(alpha) A) = c1 + c.r = d/dalpha ln Z."""
+    r, _ = _bloch(p, alpha)
+    return p.c1 + (p.cx * r[0] + p.cy * r[1] + p.cz * r[2])
 
 
 def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
-    """Posterior (I + t w.sigma)/2 with t = tanh(|w|)/|w|, no eigensolver."""
-    wx = alpha * p.cx
-    wy = alpha * p.cy
-    wz = alpha * p.cz + 0.5 * _log_ratio(p)
-    t = _tanh_over(math.sqrt(wx * wx + wy * wy + wz * wz))
-    bx, by, bz = t * wx, t * wy, t * wz
+    """Posterior (I + r.sigma)/2, no eigensolver."""
+    (rx, ry, rz), _ = _bloch(p, alpha)
     rho = 0.5 * np.array(
-        [[1.0 + bz, bx - 1j * by], [bx + 1j * by, 1.0 - bz]], dtype=complex
+        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
     )
     return DensityMatrix(rho)
 
@@ -142,57 +136,46 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     """Bisection solve of F(alpha) = target.
 
     When cx = cy = cz = 0 the constraint value is the constant c1: alpha
-    is 0 if the target matches, otherwise no multiplier exists. For a
-    nondegenerate observable the attainable targets are exactly the open
-    interval (c1 - |c|, c1 + |c|). F is nondecreasing (its derivative is
-    a variance), so the bracket [lo, hi] with F(lo) < target < F(hi) is
-    found by doubling from [-1, 1], then bisected to tol, which must be
-    finite and positive.
+    is 0 if the target matches, otherwise no multiplier exists. Otherwise
+    the solve finds u = alpha*|c| on the unit observable c/|c|, whose
+    value g(u) = (c/|c|).r is nondecreasing (its derivative is a variance)
+    and, beyond |u| = 2^40, within 3e-19 of -1 or 1, below its rounding.
+    So s = (target - c1)/|c| is taken as attainable exactly when
+    g(-2^40) < s < g(2^40), and that bracket is bisected until its
+    midpoint no longer splits it, with no iteration budget: about 100
+    steps where |u| is near 1, at any scale of c, and at most 1115, the
+    steps to a subnormal u. tol, which must be finite and positive,
+    only judges converged = |F(alpha) - target| <= tol. A DomainError is
+    raised where alpha = u/|c| leaves the float range.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    amp2 = p.cx * p.cx + p.cy * p.cy + p.cz * p.cz
-    if amp2 == 0.0:
+    amp = math.hypot(p.cx, p.cy, p.cz)
+    if amp == 0.0:
         if abs(p.c1 - p.target) <= tol:
             return _report(p, 0.0, 0, tol)
         raise InfeasibleTargetError(
             f"constraint value is constant {p.c1!r}; target {p.target!r} unreachable"
         )
-    amp = math.sqrt(amp2)
-    if not (p.c1 - amp < p.target < p.c1 + amp):
+    unit = SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0)
+    s = (p.target - p.c1) / amp
+    lo, hi = -U_BRACKET, U_BRACKET
+    g_lo, g_hi = spin_constraint_value(unit, lo), spin_constraint_value(unit, hi)
+    if not g_lo < s < g_hi:
         raise InfeasibleTargetError(
             f"target {p.target!r} is not strictly inside "
-            f"({p.c1 - amp!r}, {p.c1 + amp!r})"
+            f"({p.c1 + amp * g_lo!r}, {p.c1 + amp * g_hi!r})"
         )
-
-    def value(alpha: float) -> float:
-        return spin_constraint_value(p, alpha)
-
-    lo, hi = -1.0, 1.0
-    for _ in range(300):
-        if value(lo) < p.target:
-            break
-        lo *= 2.0
-    for _ in range(300):
-        if value(hi) > p.target:
-            break
-        hi *= 2.0
-    if not (value(lo) < p.target and value(hi) > p.target):
-        raise InfeasibleTargetError(
-            f"failed to bracket a multiplier for target {p.target!r}"
-        )
-
     steps = 0
-    for _ in range(1000):
-        alpha = 0.5 * (lo + hi)
+    u = 0.5 * (lo + hi)
+    while lo < u < hi:
         steps += 1
-        r = value(alpha) - p.target
-        if abs(r) <= tol:
-            break
-        if r < 0:
-            lo = alpha
+        if spin_constraint_value(unit, u) < s:
+            lo = u
         else:
-            hi = alpha
-        if hi - lo <= 4e-16 * max(1.0, abs(alpha)):
-            break
+            hi = u
+        u = 0.5 * (lo + hi)
+    alpha = u / amp
+    if not math.isfinite(alpha):
+        raise DomainError(f"multiplier u / |c| = {u!r} / {amp!r} leaves the float range")
     return _report(p, alpha, steps, tol)

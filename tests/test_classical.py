@@ -92,6 +92,9 @@ class TestClassicalDistribution:
         with pytest.raises(DomainError, match=message):
             ClassicalDistribution(weights)
 
+    def test_repr(self):
+        assert repr(ClassicalDistribution([1.0, 3.0])) == "ClassicalDistribution(n=2, normalized=False)"
+
     def test_normalize_is_identity_when_normalized(self):
         d = ClassicalDistribution([0.3, 0.7])
         assert d.normalize() is d

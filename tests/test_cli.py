@@ -399,6 +399,24 @@ class TestUpdateRegressions:
         assert captured.out == ""
         assert "Farkas certificate" in captured.err
 
+    def test_prior_whose_trace_overflows_is_one_error_line(self, tmp_path, capsys):
+        # it printed numpy's overflow RuntimeWarning, then "prior must be full rank"
+        def diag(x):
+            return {"dim": 2, "entries": [[x, 0.0], [0.0, 0.0], [0.0, 0.0], [x, 0.0]]}
+
+        path = write_problem(
+            tmp_path / "big.json",
+            {
+                "mode": "quantum",
+                "prior": diag(1e308),
+                "constraints": [{"observable": diag(1.0), "target": 1.0}],
+            },
+        )
+        assert main(["update", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: trace must be finite, got inf\n"
+
     def test_spin_file_with_overflowing_partition_function_exits_ok(self, tmp_path, capsys):
         # Z = 2 e^lam cosh|w| overflows at the solution (ln Z ~ 4399); the
         # report used to compute it and the command died with an OverflowError
@@ -411,17 +429,17 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert math.isfinite(report["log_partition"])
 
-    def test_spin_file_whose_components_overflow_exits_error(self, tmp_path, capsys):
-        # it exited 2, calling the feasible target infeasible
+    def test_spin_file_whose_components_square_overflows_is_solved(self, tmp_path, capsys):
+        # it exited 2, calling the feasible target infeasible, then 1, with
+        # |c| bounded by 6.7e153; an absolute tol cannot be met at 1e159
         path = write_problem(
             tmp_path / "spin.json",
             {"mode": "spin", "a": 0.5, "b": 0.5, "c": [0, 1e160, 0, 0], "target": 1e159},
         )
-        assert main(["update", path]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: |c| = ")
-        assert captured.err.count("\n") == 1
+        assert main(["update", path]) == EXIT_NO_CONVERGENCE
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is False
+        assert report["multipliers"][0] * 1e160 == pytest.approx(math.atanh(0.1), rel=1e-12, abs=0)
 
     def test_spin_file_with_huge_prior_weights_exits_ok(self, tmp_path, capsys):
         # a * b overflowed to inf, so log_partition was written as null

@@ -97,9 +97,19 @@ class TestHermitianOperator:
         with pytest.raises(DomainError, match="not Hermitian"):
             HermitianOperator(1e6 * np.array([[0.0, 1.0], [0.999, 0.0]]))
 
+    def test_drift_that_overflows_is_rejected_without_a_warning(self):
+        # M - M^dag overflowed with a RuntimeWarning before the DomainError
+        with pytest.raises(DomainError, match=r"max \|M - M\^dag\| = inf"):
+            HermitianOperator([[0, 1e308], [-1e308, 0]])
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             HermitianOperator(np.zeros((2, 3)))
+
+    def test_dim_and_repr(self):
+        op = HermitianOperator(np.eye(3))
+        assert op.dim == 3
+        assert repr(op) == "HermitianOperator(dim=3)"
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(ShapeError, match="dimension must be at least 1"):
@@ -445,3 +455,41 @@ def test_the_thread_functions_are_found_where_numpy_reports_openblas():
     if "openblas" not in name.lower():
         pytest.skip(f"numpy uses {name}, not OpenBLAS")
     assert linalg._openblas_threads() is not None
+
+
+@pytest.mark.parametrize("library", ["unloadable", "without-thread-functions"])
+def test_where_numpy_has_no_openblas_nothing_changes(library, monkeypatch):
+    # the extension cannot be loaded, or holds neither OpenBLAS's nor
+    # scipy-openblas's thread functions: the scope leaves the count alone
+    # and a solve reads the same to the last bit
+    prior, constraints = _qubit_problem()
+    expected = solve_quantum(prior, constraints)
+    found = linalg._openblas_threads()
+
+    def cdll(path):
+        if library == "unloadable":
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()
+
+    linalg._openblas_threads.cache_clear()
+    monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
+    try:
+        assert linalg._openblas_threads() is None
+        if found is not None:
+            get, set_threads = found
+            saved = get()
+            set_threads(3)
+            try:
+                with single_blas_thread():
+                    assert get() == 3
+            finally:
+                set_threads(saved)
+        report = solve_quantum(prior, constraints)
+    finally:
+        monkeypatch.undo()
+        linalg._openblas_threads.cache_clear()
+    assert report.iterations == expected.iterations
+    assert report.log_partition == expected.log_partition
+    for field in ("multipliers", "residuals"):
+        assert getattr(report, field).tobytes() == getattr(expected, field).tobytes()
+    assert report.posterior.matrix.tobytes() == expected.posterior.matrix.tobytes()

@@ -68,6 +68,12 @@ class TestDensityMatrix:
         with pytest.raises(DomainError, match="trace must be positive"):
             DensityMatrix(np.diag([1.0, -2.0]))
 
+    def test_trace_beyond_the_float_range_is_named_without_a_warning(self):
+        # the trace overflowed with a RuntimeWarning, and this full-rank
+        # prior was then refused as "must be full rank"
+        with pytest.raises(DomainError, match="trace must be finite, got inf"):
+            DensityMatrix(np.diag([1e308, 1e308]))
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_zero_trace(self, dim):
         with pytest.raises(DomainError, match="trace must be positive"):

@@ -212,19 +212,23 @@ def _certify(
 
     The candidates are alpha/|alpha| and -grad/|grad|, which separates
     where the mean <A> is the reachable point nearest to t, with margin 0,
-    and either sign of each row of null, the unit Hessian null directions
-    that the step's SVD dropped, with margin tol. Where sum_i d_i A_i is a
-    constant c, every state has sum_i d_i <A_i> = c, spectrum(d) is that
-    one point, and the tests along d and -d together are |d.grad| =
-    |c - d.t| > tol: targets that contradict the dependency by more than
-    tol. Targets that meet it exactly put d.t on c, where rounding can
-    leave spectrum(d) on either side of d.t, so a margin of 0 would
-    certify some feasible problems.
+    and each row of null, the unit Hessian null directions that the step's
+    SVD dropped, signed so that -d.grad >= 0, with margin tol. Where
+    sum_i d_i A_i is a constant c, every state has sum_i d_i <A_i> = c,
+    spectrum(d) is that one point, and the test is -d.grad = |c - d.t| >
+    tol: targets that contradict the dependency by more than tol. Targets
+    that meet it exactly put d.t on c, where rounding can leave
+    spectrum(d) on either side of d.t, so a margin of 0 would certify some
+    feasible problems. The mean t + grad is a state's, so d.t - max
+    spectrum(d) <= -d.grad: a candidate with -d.grad <= margin, never
+    -grad/|grad|, is skipped before its eigensolve.
     """
     norm = _norm(alpha)
     candidates = [(v / _norm(v), 0.0) for v in (alpha, -grad) if _norm(v) > 0]
-    candidates += [(d, tol) for d in np.concatenate([null, -null])]
+    candidates += [(d, tol) for d in null * -np.sign(null @ grad)[:, None]]
     for d, margin in candidates:
+        if -(d @ grad) <= margin:
+            continue
         top = float(spectrum(d).max())
         bound = float(d @ targets)
         if bound - top > margin:

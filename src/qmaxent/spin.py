@@ -8,17 +8,17 @@ from the posterior's Bloch vector r = tanh|w| w/|w|: the partition
 function 2 e^lam cosh|w|, the posterior (I + r.sigma)/2 and the
 constraint value
 
-    F(alpha) = c1 + c.r
+    F(alpha) = c1 + |c| g,  g = (c/|c|).r in [-1, 1]
 
 F is nondecreasing with range (c1 - |c|, c1 + |c|). The multiplier is
-found by bisection in the scale-free u = alpha*|c|, on the unit
-observable c/|c| with target (target - c1)/|c|, independent of any
-eigensolver; no |c|^2 is formed, so every finite |c| is accepted.
+found by bisection in u = alpha*|c| on the unit observable c/|c|, with
+no eigensolver and no |c|^2, so every finite |c| is accepted.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ from .quantum import DensityMatrix, _relative_entropy_to_log
 from .report import SolverReport
 
 DEFAULT_TOL = 1e-12
-SERIES_CUTOFF = 1e-6
 # |ln a - ln b| < 1455 for positive floats, so beyond |u| = 2^40 the unit
 # observable's value is within 3e-19 of -1 or 1, below its rounding: this
 # bracket holds every target that floats can tell from the range's edge
@@ -61,11 +60,13 @@ class SpinProblem:
 
 
 def _tanh_over(x: float) -> float:
-    """tanh(x)/x with the removable singularity at 0 handled by series."""
-    if abs(x) < SERIES_CUTOFF:
-        x2 = x * x
-        return 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0
-    return math.tanh(x) / x
+    """tanh(x)/x, with its limit 1 at 0: tanh rounds to x itself where x is tiny."""
+    return math.tanh(x) / x if x else 1.0
+
+
+def _float(key: int) -> float:
+    """The float whose bit pattern k folds to key by k if k >= 0 else -2**63 - k, an involution."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -(2**63) - key))[0]
 
 
 def _bloch(p: SpinProblem, alpha: float) -> tuple[list[float], float]:
@@ -97,9 +98,11 @@ def _log_partition(p: SpinProblem, alpha: float) -> float:
 
 
 def spin_constraint_value(p: SpinProblem, alpha: float) -> float:
-    """F(alpha) = Tr(rho(alpha) A) = c1 + c.r = d/dalpha ln Z."""
+    """F(alpha) = Tr(rho(alpha) A) = c1 + |c| g = d/dalpha ln Z, finite where c1 +- |c| are."""
+    amp = math.hypot(p.cx, p.cy, p.cz) or 1.0
     r, _ = _bloch(p, alpha)
-    return p.c1 + (p.cx * r[0] + p.cy * r[1] + p.cz * r[2])
+    g = (p.cx / amp) * r[0] + (p.cy / amp) * r[1] + (p.cz / amp) * r[2]
+    return p.c1 + amp * max(-1.0, min(1.0, g))
 
 
 def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
@@ -135,18 +138,14 @@ def _report(p: SpinProblem, alpha: float, steps: int, tol: float) -> SolverRepor
 def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     """Bisection solve of F(alpha) = target.
 
-    When cx = cy = cz = 0 the constraint value is the constant c1: alpha
-    is 0 if the target matches, otherwise no multiplier exists. Otherwise
-    the solve finds u = alpha*|c| on the unit observable c/|c|, whose
-    value g(u) = (c/|c|).r is nondecreasing (its derivative is a variance)
-    and, beyond |u| = 2^40, within 3e-19 of -1 or 1, below its rounding.
-    So s = (target - c1)/|c| is taken as attainable exactly when
-    g(-2^40) < s < g(2^40), and that bracket is bisected until its
-    midpoint no longer splits it, with no iteration budget: about 100
-    steps where |u| is near 1, at any scale of c, and at most 1115, the
-    steps to a subnormal u. tol, which must be finite and positive,
-    only judges converged = |F(alpha) - target| <= tol. A DomainError is
-    raised where alpha = u/|c| leaves the float range.
+    When c = 0, F is the constant c1: alpha is 0 if the target matches,
+    otherwise no multiplier exists. Otherwise g(u) is nondecreasing (its
+    derivative is a variance), so s = (target - c1)/|c| is attainable
+    exactly when g(-2^40) < s < g(2^40). That bracket is bisected on the
+    floats' ordered keys (-u has minus u's key) until its ends are
+    adjacent, at most 64 steps; u is the smallest float whose g reaches
+    s. tol only judges converged = |F(alpha) - target| <= tol; a
+    DomainError is raised where alpha = u/|c| leaves the float range.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -159,22 +158,23 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
         )
     unit = SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0)
     s = (p.target - p.c1) / amp
-    lo, hi = -U_BRACKET, U_BRACKET
-    g_lo, g_hi = spin_constraint_value(unit, lo), spin_constraint_value(unit, hi)
+    hi = struct.unpack("<q", struct.pack("<d", U_BRACKET))[0]
+    lo = -hi
+    g_lo, g_hi = spin_constraint_value(unit, -U_BRACKET), spin_constraint_value(unit, U_BRACKET)
     if not g_lo < s < g_hi:
         raise InfeasibleTargetError(
             f"target {p.target!r} is not strictly inside "
             f"({p.c1 + amp * g_lo!r}, {p.c1 + amp * g_hi!r})"
         )
     steps = 0
-    u = 0.5 * (lo + hi)
-    while lo < u < hi:
+    while hi - lo > 1:
         steps += 1
-        if spin_constraint_value(unit, u) < s:
-            lo = u
+        mid = (lo + hi) // 2
+        if spin_constraint_value(unit, _float(mid)) < s:
+            lo = mid
         else:
-            hi = u
-        u = 0.5 * (lo + hi)
+            hi = mid
+    u = _float(hi)
     alpha = u / amp
     if not math.isfinite(alpha):
         raise DomainError(f"multiplier u / |c| = {u!r} / {amp!r} leaves the float range")

@@ -240,11 +240,16 @@ def _planted_problem(rng, k):
     return solve_classical, prior, [ClassicalConstraint(o, float(o @ rho)) for o in obs]
 
 
-def test_feasible_problems_stopped_early_are_not_certified():
+def test_feasible_problems_stopped_early_are_not_certified(monkeypatch):
     # a solve cut off by max_iter 0-3 runs the certificate on feasible
     # targets; along a null direction of an exact dependency that the
     # targets meet, rounding puts d.t and the spectrum's one point about
-    # 1e-16 apart either way, so a margin of 0 there certified 21 of these
+    # 1e-16 apart either way, so a margin of 0 there certified 21 of these.
+    # They made 736 eigvalsh calls while every candidate took an
+    # eigensolve, both signs of each null direction among them
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
     rng = np.random.default_rng(8)
     stopped = 0
     for k in range(600):
@@ -252,6 +257,20 @@ def test_feasible_problems_stopped_early_are_not_certified():
         report = solve(prior, cons, max_iter=int(rng.integers(0, 4)))
         stopped += not report.converged
     assert stopped >= 500
+    assert len(calls) == 600
+
+
+def test_certificate_needs_d_t_strictly_above_the_spectrum():
+    # alpha/|alpha| = (1, 1)/sqrt(2) gives d.t and max spectrum(d) both
+    # 0.7071067811865475: the targets (0.5, 0.5) lie on the face P(1) +
+    # P(2) = 1 of the reachable set, so no certificate is sound there; a
+    # test bound - top >= margin would raise one
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    targets = np.array([0.5, 0.5])
+    d = np.array([1.0, 1.0]) / np.sqrt(2)
+    assert float(d @ targets) == float((a.T @ d).max()) == 0.7071067811865475
+    assert dual._certify(np.empty((0, 2)), np.array([1.0, 1.0]), np.array([-1e-3, -1e-3]),
+                         lambda d: a.T @ d, targets, 1e-10, "max_iter") is None
 
 
 @pytest.mark.parametrize(

@@ -52,24 +52,19 @@ def _norm(x: np.ndarray) -> float:
     return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
-def _squared_norm(r: np.ndarray) -> float:
-    """r.r, the metric of a -grad step."""
-    return float(r @ r)
-
-
 def _newton_step(
     hess: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray], float], np.ndarray]:
+) -> tuple[np.ndarray | None, Callable[[np.ndarray], float] | None, np.ndarray]:
     """One SVD of H gives the step, its metric decrement(r) and, as rows, H's null directions.
 
     Singular values above RCOND times the largest give the Newton step, or
     the pseudoinverse step if H is rank deficient, flat along the dropped
     singular vectors, and decrement(r) = r.H+r over the kept ones, so that
-    decrement(grad) = -grad.step; a non-finite H or a non-descent step
-    gives -grad, with decrement(r) = r.r.
+    decrement(grad) = -grad.step. A non-finite H, or a step that is not
+    finite or has decrement(grad) <= 0, gives (None, None, null): no step.
     """
     if not np.all(np.isfinite(hess)):
-        return -grad, _squared_norm, np.empty((0, len(grad)))
+        return None, None, np.empty((0, len(grad)))
     u, s, vt = np.linalg.svd(hess)
     keep = s > RCOND * s[0]
     ut, sk, v = u[:, keep].T, s[keep], vt[keep].T
@@ -78,12 +73,10 @@ def _newton_step(
         with np.errstate(over="ignore", invalid="ignore"):
             return float(r @ (v @ ((ut @ r) / sk)))
 
-    # a step that overflows is replaced below, so its overflow is no error
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = -v @ ((ut @ grad) / sk)
+    step = -v @ ((ut @ grad) / sk)
     if np.all(np.isfinite(step)) and decrement(grad) > 0:
         return step, decrement, vt[~keep]
-    return -grad, _squared_norm, vt[~keep]
+    return None, None, vt[~keep]
 
 
 def newton_dual(
@@ -123,14 +116,15 @@ def newton_dual(
     it. The iteration stops when max |gradient| <= tol, which an empty
     gradient meets at once: a problem with no targets returns the start.
     _certify may raise InfeasibleTargetError before the line search of a
-    -grad step, or of one that leaves more than tol of the gradient along
-    a null direction of H, and once the iteration stops otherwise, on a
-    stalled line search or after max_iter steps. tol must be finite and
-    positive and max_iter a non-negative integer, whatever the number of
-    targets: a NaN tol stops the loop at once, -1 never. bounds = (lo, hi)
-    lie inside each row's spectral range; a target t_k outside them is
-    decided by spectrum(e_k), and one not strictly inside that spectrum
-    raises InfeasibleTargetError before tol, max_iter or start() are read.
+    step that leaves more than tol of the gradient along a null direction
+    of H, and once the iteration stops otherwise: where H gives no step
+    (_newton_step), on a stalled line search or after max_iter steps. tol
+    must be finite and positive and max_iter a non-negative integer,
+    whatever the number of targets: a NaN tol stops the loop at once, -1
+    never. bounds = (lo, hi) lie inside each row's spectral range; a
+    target t_k outside them is decided by spectrum(e_k), and one not
+    strictly inside that spectrum raises InfeasibleTargetError before tol,
+    max_iter or start() are read.
     """
     lo, hi = bounds
     for k in np.flatnonzero(~((lo < targets) & (targets < hi))):
@@ -152,13 +146,18 @@ def newton_dual(
     steps = 0
     stop = None
     while float(np.max(np.abs(grad), initial=0.0)) > tol:
-        step, decrement, null = _newton_step(hessian(state), grad)
+        # an H or a step that overflows gives no step, so its overflow is no error
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, decrement, null = _newton_step(hessian(state), grad)
         if steps == max_iter:
             stop = f"no convergence in {max_iter} iterations"
             break
-        # a -grad step, or residual along H's null space: alpha may be
-        # running off toward a face of the reachable set
-        if decrement is _squared_norm or np.any(np.abs(null @ grad) > tol):
+        if step is None:
+            stop = f"singular Hessian after {steps} iterations"
+            break
+        # residual along H's null space: alpha may be running off toward
+        # a face of the reachable set
+        if np.any(np.abs(null @ grad) > tol):
             _certify(null, alpha, grad, spectrum, targets, tol,
                      f"singular Hessian after {steps} iterations")
         bound = decrement(grad)

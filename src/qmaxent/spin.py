@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,15 +71,20 @@ def _float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -(2**63) - key))[0]
 
 
-def _bloch(p: SpinProblem, alpha: float) -> tuple[list[float], float]:
-    """(r, |w|): the posterior's Bloch vector r = tanh|w| w/|w| and |w|.
+def _bloch(p: SpinProblem) -> Callable[[float], tuple[list[float], float]]:
+    """alpha -> (r, |w|): the posterior's Bloch vector r = tanh|w| w/|w| and |w|.
 
-    ln(a/b) is taken from the two logs: a / b can leave the float range.
+    ln(a/b)/2 is taken once, from the two logs: a / b can leave the float range.
     """
-    w = [alpha * p.cx, alpha * p.cy, alpha * p.cz + 0.5 * (math.log(p.a) - math.log(p.b))]
-    half_gap = math.hypot(*w)
-    t = _tanh_over(half_gap)
-    return [t * x for x in w], half_gap
+    shift = 0.5 * (math.log(p.a) - math.log(p.b))
+
+    def at(alpha: float) -> tuple[list[float], float]:
+        w = [alpha * p.cx, alpha * p.cy, alpha * p.cz + shift]
+        half_gap = math.hypot(*w)
+        t = _tanh_over(half_gap)
+        return [t * x for x in w], half_gap
+
+    return at
 
 
 def spin_partition(p: SpinProblem, alpha: float) -> float:
@@ -92,22 +99,33 @@ def spin_partition(p: SpinProblem, alpha: float) -> float:
 
 
 def _log_partition(p: SpinProblem, alpha: float) -> float:
-    _, half_gap = _bloch(p, alpha)
+    _, half_gap = _bloch(p)(alpha)
     lam = alpha * p.c1 + 0.5 * (math.log(p.a) + math.log(p.b))
     return lam + half_gap + math.log1p(math.exp(-2.0 * half_gap))
 
 
 def spin_constraint_value(p: SpinProblem, alpha: float) -> float:
     """F(alpha) = Tr(rho(alpha) A) = c1 + |c| g = d/dalpha ln Z, finite where c1 +- |c| are."""
+    return _constraint(p)(alpha)
+
+
+def _constraint(p: SpinProblem) -> Callable[[float], float]:
+    """alpha -> spin_constraint_value(p, alpha), with |c|, c/|c| and ln(a/b)/2 taken once."""
     amp = math.hypot(p.cx, p.cy, p.cz) or 1.0
-    r, _ = _bloch(p, alpha)
-    g = (p.cx / amp) * r[0] + (p.cy / amp) * r[1] + (p.cz / amp) * r[2]
-    return p.c1 + amp * max(-1.0, min(1.0, g))
+    ux, uy, uz = p.cx / amp, p.cy / amp, p.cz / amp
+    bloch = _bloch(p)
+
+    def value(alpha: float) -> float:
+        r, _ = bloch(alpha)
+        g = ux * r[0] + uy * r[1] + uz * r[2]
+        return p.c1 + amp * max(-1.0, min(1.0, g))
+
+    return value
 
 
 def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
     """Posterior (I + r.sigma)/2, no eigensolver."""
-    (rx, ry, rz), _ = _bloch(p, alpha)
+    (rx, ry, rz), _ = _bloch(p)(alpha)
     rho = 0.5 * np.array(
         [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
     )
@@ -145,7 +163,9 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     floats' ordered keys (-u has minus u's key) until its ends are
     adjacent, at most 64 steps; u is the smallest float whose g reaches
     s. tol only judges converged = |F(alpha) - target| <= tol; a
-    DomainError is raised where alpha = u/|c| leaves the float range.
+    DomainError is raised where alpha = u/|c| leaves the float range, or
+    where the division underflows: |alpha| below both |u| and the
+    smallest normal float.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -156,11 +176,11 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
         raise InfeasibleTargetError(
             f"constraint value is constant {p.c1!r}; target {p.target!r} unreachable"
         )
-    unit = SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0)
+    g = _constraint(SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0))
     s = (p.target - p.c1) / amp
     hi = struct.unpack("<q", struct.pack("<d", U_BRACKET))[0]
     lo = -hi
-    g_lo, g_hi = spin_constraint_value(unit, -U_BRACKET), spin_constraint_value(unit, U_BRACKET)
+    g_lo, g_hi = g(-U_BRACKET), g(U_BRACKET)
     if not g_lo < s < g_hi:
         raise InfeasibleTargetError(
             f"target {p.target!r} is not strictly inside "
@@ -170,12 +190,12 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     while hi - lo > 1:
         steps += 1
         mid = (lo + hi) // 2
-        if spin_constraint_value(unit, _float(mid)) < s:
+        if g(_float(mid)) < s:
             lo = mid
         else:
             hi = mid
     u = _float(hi)
     alpha = u / amp
-    if not math.isfinite(alpha):
+    if not math.isfinite(alpha) or abs(alpha) < min(abs(u), sys.float_info.min):
         raise DomainError(f"multiplier u / |c| = {u!r} / {amp!r} leaves the float range")
     return _report(p, alpha, steps, tol)

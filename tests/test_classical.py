@@ -641,7 +641,8 @@ class TestNewtonDriverRegressions:
         # draw 177 took 96 -grad steps along one fixed direction, then a step
         # whose slope overflowed, and was certified only when that step's
         # line search stalled, after 97 Newton steps; the certificate now
-        # runs before the line search of every -grad step (10 steps)
+        # runs before the line search of a step that leaves residual along
+        # a null direction of H (10 steps)
         steps = _count_newton_steps(monkeypatch)
         prior, a, t = _study_draws()[177]
         cons = [ClassicalConstraint(v, x) for v, x in zip(a, t)]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,44 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert report["multipliers"][0] == pytest.approx(math.atanh(0.3), rel=1e-12)
         assert report["log_partition"] == pytest.approx(-459.77671607851357, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "prior, observable, target",
+        [
+            (np.eye(3) / 3, 1e160 * np.array([[1, 0.5, 0], [0.5, 0, 0.2j], [0, -0.2j, -1]]), 3e159),
+            (np.eye(2) / 2, 0.85e308 * np.ones((2, 2)), 0.1),
+            (np.eye(2) / 2, 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), 0.1),
+            ([1.0, 1.0, 1.0], [1e155, 0.0, -1e155], 3e154),
+        ],
+        ids=["quantum-1e160", "quantum-ones-0.85e308", "quantum-1e308", "classical-1e155"],
+    )
+    def test_hessian_that_overflows_exits_3_with_one_line(
+        self, tmp_path, capsys, prior, observable, target
+    ):
+        # the Hessian overflows at alpha = 0, and a -grad step was tried in
+        # place of Newton's: the first solve exited 1 on "Eigenvalues did not
+        # converge", the others exited 3 after 41 to 401 overflow
+        # RuntimeWarnings. Now no step is taken, and nothing is printed but
+        # the one summary line
+        mode = "classical" if isinstance(prior, list) else "quantum"
+        if mode == "quantum":
+            prior, observable = matrix_to_obj(prior), matrix_to_obj(observable)
+        path = write_problem(
+            tmp_path / "big.json",
+            {
+                "mode": mode,
+                "prior": prior,
+                "constraints": [{"observable": observable, "target": target}],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["update", path, "--out", str(tmp_path / "report.json")])
+        assert code == EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{mode}: did not converge in 0 iterations")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("a", [1e-13, 1e-200])
     def test_spin_file_with_prior_below_the_full_rank_test_exits_ok(self, tmp_path, capsys, a):

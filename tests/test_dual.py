@@ -48,13 +48,26 @@ class TestNewtonStep:
         np.testing.assert_allclose(null @ b, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_hessian_gives_steepest_descent(self, bad):
+    def test_non_finite_hessian_gives_no_step(self, bad):
+        # it gave the steepest-descent step -grad, with decrement(r) = r.r
         grad = np.array([0.3, -1.2])
         hess = np.array([[1.0, bad], [bad, 2.0]])
         step, decrement, null = _newton_step(hess, grad)
-        assert decrement(grad) == float(grad @ grad)
-        np.testing.assert_array_equal(step, -grad)
-        assert len(null) == 0
+        assert step is None and decrement is None
+        assert null.shape == (0, 2)
+
+    def test_gradient_in_the_null_space_gives_no_step(self):
+        # the pseudoinverse step is 0, with decrement(grad) = 0: no descent
+        step, decrement, null = _newton_step(np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert step is None and decrement is None
+        np.testing.assert_array_equal(np.abs(null), [[0.0, 1.0]])
+
+    def test_step_that_overflows_gives_no_step(self):
+        # H is finite and nonsingular, but grad / H = 1e310 is not a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, decrement, null = _newton_step(np.array([[1e-300]]), np.array([1e10]))
+        assert step is None and decrement is None
+        assert null.shape == (0, 1)
 
 
 def test_dependency_certificate_runs_no_hermitian_eigensolve(monkeypatch):
@@ -116,6 +129,26 @@ def test_zero_max_iter_takes_no_step():
     report = _quantum_solve(np.int64(0))
     assert report.iterations == 0
     assert not report.converged
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_targets_on_a_face_stop_where_no_step_descends(mode):
+    # t = (5e5, 5e5) puts all the weight on the first two of three states,
+    # a face of the reachable set that no finite alpha reaches. After 27
+    # steps the Newton step no longer descends, decrement(grad) <= 0, and
+    # the solve stops there; taking that step anyway ran all 200 iterations
+    rows = 1e6 * np.eye(3)[:2]
+    if mode == "classical":
+        report = solve_classical(
+            ClassicalDistribution(np.ones(3) / 3), [ClassicalConstraint(r, 5e5) for r in rows]
+        )
+    else:
+        report = solve_quantum(
+            DensityMatrix(np.eye(3) / 3),
+            [QuantumConstraint(HermitianOperator(np.diag(r)), 5e5) for r in rows],
+        )
+    assert not report.converged
+    assert report.iterations <= 30
 
 
 def _start_and_evaluate(monkeypatch, module, solve, prior, constraints):

@@ -44,6 +44,9 @@ class TestDensityMatrix:
     def test_tolerates_tiny_negative_drift(self):
         DensityMatrix(np.diag([1.0, -1e-13]))
 
+    def test_repr(self):
+        assert repr(DensityMatrix(np.eye(3))) == "DensityMatrix(dim=3, normalized=False)"
+
     @pytest.mark.parametrize("trace", [1.0, 1e3, 1e6, 1e9, 1e200])
     def test_rank_deficient_state_is_not_refused_at_large_trace(self, trace):
         # eigh puts the zero eigenvalues at about -eps * trace: an absolute

@@ -309,6 +309,15 @@ class TestSolveSpin:
         with pytest.raises(DomainError, match="leaves the float range"):
             solve_spin(p)
 
+    @pytest.mark.parametrize("target", [1e290, 1e298])
+    def test_multiplier_that_underflows_is_a_domain_error(self, target):
+        # u = target / 1e308 is found, but alpha = u / 1e308 underflows: it
+        # was returned as 0.0 (exit 3) for 1e290 and as the subnormal 1e-318,
+        # with about 17 significant bits, for 1e298
+        p = SpinProblem(a=0.5, b=0.5, c1=0, cx=0, cy=0, cz=1e308, target=target)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            solve_spin(p)
+
     def test_problems_at_the_float_limits_are_solved(self):
         # prior weights from the smallest subnormal to 1.7e308, components at
         # scales 1e-100 to 1e100 and targets up to 1e-15 from the range's

@@ -70,7 +70,7 @@ def check_prior_recovery(prior) -> PropertyResult:
             np.max(np.abs(report.posterior.weights - prior.normalize().weights))
         )
     elif isinstance(prior, DensityMatrix):
-        report = solve_quantum(prior.normalize(), [])
+        report = solve_quantum(prior, [])
         deviation = float(
             np.max(np.abs(report.posterior.matrix - prior.normalize().matrix))
         )
@@ -92,12 +92,10 @@ def check_subsystem_independence(
     deviation is the max-norm gap between the joint posterior and the
     tensor product of the factor posteriors.
     """
-    p1 = prior1.normalize()
-    p2 = prior2.normalize()
-    r1 = solve_quantum(p1, constraints1, tol=SOLVE_TOL)
-    r2 = solve_quantum(p2, constraints2, tol=SOLVE_TOL)
-    i1 = np.eye(p1.dim, dtype=complex)
-    i2 = np.eye(p2.dim, dtype=complex)
+    r1 = solve_quantum(prior1, constraints1, tol=SOLVE_TOL)
+    r2 = solve_quantum(prior2, constraints2, tol=SOLVE_TOL)
+    i1 = np.eye(prior1.dim, dtype=complex)
+    i2 = np.eye(prior2.dim, dtype=complex)
     embedded = [
         QuantumConstraint(HermitianOperator(np.kron(c.observable.matrix, i2)), c.target)
         for c in constraints1
@@ -105,7 +103,7 @@ def check_subsystem_independence(
         QuantumConstraint(HermitianOperator(np.kron(i1, c.observable.matrix)), c.target)
         for c in constraints2
     ]
-    joint_prior = DensityMatrix(np.kron(p1.matrix, p2.matrix))
+    joint_prior = DensityMatrix(np.kron(prior1.matrix, prior2.matrix))
     joint = solve_quantum(joint_prior, embedded, tol=SOLVE_TOL)
     product = np.kron(r1.posterior.matrix, r2.posterior.matrix)
     deviation = float(np.max(np.abs(joint.posterior.matrix - product)))

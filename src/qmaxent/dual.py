@@ -60,8 +60,8 @@ def _newton_step(
     Singular values above RCOND times the largest give the Newton step, or
     the pseudoinverse step if H is rank deficient, flat along the dropped
     singular vectors, and decrement(r) = r.H+r over the kept ones, so that
-    decrement(grad) = -grad.step. A non-finite H, or a step that is not
-    finite or has decrement(grad) <= 0, gives (None, None, null): no step.
+    decrement(grad) = -grad.step. A non-finite H or step, or a
+    decrement(grad) outside (0, inf), gives (None, None, null): no step.
     """
     if not np.all(np.isfinite(hess)):
         return None, None, np.empty((0, len(grad)))
@@ -74,7 +74,7 @@ def _newton_step(
             return float(r @ (v @ ((ut @ r) / sk)))
 
     step = -v @ ((ut @ grad) / sk)
-    if np.all(np.isfinite(step)) and decrement(grad) > 0:
+    if np.all(np.isfinite(step)) and 0 < -(grad @ step) < np.inf:
         return step, decrement, vt[~keep]
     return None, None, vt[~keep]
 
@@ -160,7 +160,7 @@ def newton_dual(
         if np.any(np.abs(null @ grad) > tol):
             _certify(null, alpha, grad, spectrum, targets, tol,
                      f"singular Hessian after {steps} iterations")
-        bound = decrement(grad)
+        bound = -(grad @ step)
         # one state at a time: the accepted one is dropped before the
         # first trial, and each rejected trial before the next
         state = dropped

@@ -318,9 +318,10 @@ def solve_quantum(
 ) -> SolverReport:
     """Multipliers and posterior for a quantum constrained update.
 
-    The prior must be full rank and normalized, and every observable of
-    its dimension, which reading them into one stack checks, and of a
-    spectrum inside the float range, both before any target's range.
+    The prior must be full rank, of any positive trace, which ln Z then
+    includes as ln Tr phi. Every observable must be of its dimension,
+    which reading them into one stack checks, and of a spectrum inside
+    the float range, both before any target's range.
     Since |lambda| <= d max|A_jk| and a row's bracket bounds max|A_jk|,
     only a row whose bracket passes the float range over 2d takes an
     eigvalsh, of the row scaled by its largest real or imaginary part,
@@ -333,8 +334,6 @@ def solve_quantum(
     (qmaxent.dual). Without a certificate the report says converged=False.
     """
     _require_full_rank(prior, "prior")
-    if not prior.normalized:
-        raise DomainError("prior must be normalized (unit trace)")
     dim = prior.dim
     constraints = list(constraints)
     flat = _stack([c.observable for c in constraints], dim)

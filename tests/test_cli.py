@@ -203,6 +203,18 @@ class TestUpdate:
         assert main(["update", path]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_quantum_prior_of_trace_two_gives_the_multipliers_of_trace_one(self, tmp_path, capsys):
+        problem = json.loads((Path(__file__).parent / "data" / "quantum_dim2.problem.json").read_text())
+        entries = [[2 * re, 2 * im] for re, im in problem["prior"]["entries"]]
+        doubled = dict(problem, prior=dict(problem["prior"], entries=entries))
+        reports = []
+        for name, obj in (("unit", problem), ("doubled", doubled)):
+            assert main(["update", write_problem(tmp_path / f"{name}.json", obj)]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        unit, report = reports
+        np.testing.assert_allclose(report["multipliers"], unit["multipliers"], rtol=1e-12, atol=0)
+        assert report["log_partition"] == pytest.approx(unit["log_partition"] + math.log(2), abs=1e-12)
+
     def test_non_convergence_exit(self, tmp_path, capsys):
         # one Newton step from alpha = 0 leaves this two-constraint
         # problem short of tol

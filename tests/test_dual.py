@@ -6,7 +6,7 @@ import pytest
 from qmaxent import classical, dual, quantum
 from qmaxent.checks import random_density_matrix, random_hermitian
 from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, solve_classical
-from qmaxent.dual import RCOND, _newton_step, newton_dual
+from qmaxent.dual import RCOND, STEP_SCALES, _newton_step, newton_dual
 from qmaxent.errors import DomainError, InfeasibleTargetError
 from qmaxent.linalg import PAULI_X, PAULI_Z, HermitianOperator
 from qmaxent.quantum import (
@@ -68,6 +68,23 @@ class TestNewtonStep:
             step, decrement, null = _newton_step(np.array([[1e-300]]), np.array([1e10]))
         assert step is None and decrement is None
         assert null.shape == (0, 1)
+
+    def test_decrement_that_overflows_gives_no_step(self):
+        # step = -1e10 / 1e-290 is finite, but decrement(grad) = 1e310 is
+        # not: a line-search bound of inf would accept any trial
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, decrement, null = _newton_step(np.array([[1e-290]]), np.array([1e10]))
+        assert step is None and decrement is None
+        assert null.shape == (0, 1)
+
+    def test_overflowing_decrement_stops_the_solve_without_a_warning(self):
+        # H ~ 1e10^2 w and grad ~ 5e9: decrement(grad) = 0.25 / w passes the
+        # float range while the step 0.5 / (1e10 w) does not
+        report = solve_classical(
+            ClassicalDistribution([1.0, 1e-310]), [ClassicalConstraint([0.0, 1e10], 5e9)]
+        )
+        assert not report.converged
+        assert report.iterations == 0
 
 
 def test_dependency_certificate_runs_no_hermitian_eigensolve(monkeypatch):
@@ -216,6 +233,27 @@ class TestStartState:
         assert abs(ln_z - zero[1]) <= 1e-14
         assert abs(ln_z - np.log(prior.total)) <= 1e-15
         np.testing.assert_allclose(grad, zero[2], rtol=0, atol=1e-14)
+
+
+def test_smallest_step_scale_still_asks_for_descent():
+    # a trial at the last scale is accepted only if its decrement is below
+    # (1 - scale / 4)^2 times the step's; were that factor to round to 1,
+    # as it does from 2^-52 on, the line search would accept a trial that
+    # does not descend: with 53 halvings a prior weight of 1e-20 leaves
+    # alpha at 11102 after one step, not at ln 1e20 = 46
+    assert (1 - STEP_SCALES[-1] / 4) ** 2 < 1
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="CHANGES.md:79: the 40 halvings of a step of 5e13 end past the solution",
+)
+def test_prior_weight_of_1e_14_on_a_needed_state_is_solved():
+    # H = 1e-14 at alpha = 0 makes the Newton step 0.5 / H, and every
+    # trial down to 2^-39 of it fails the monotonicity test
+    report = solve_classical(ClassicalDistribution([1.0, 1e-14]), [ClassicalConstraint([0.0, 1.0], 0.5)])
+    assert report.converged
+    assert report.multipliers[0] == pytest.approx(np.log(1e14), rel=1e-10)
 
 
 class TestLineSearchRounding:

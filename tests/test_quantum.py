@@ -384,9 +384,42 @@ class TestSolveQuantum:
         with pytest.raises(InfeasibleTargetError):
             solve_quantum(prior, cons)
 
-    def test_unnormalized_prior_rejected(self):
-        with pytest.raises(DomainError):
-            solve_quantum(DensityMatrix(np.eye(2)), [])
+    @pytest.mark.parametrize("k", [-200, -100, 0, 1, 100, 200])
+    @pytest.mark.parametrize("planted", [False, True], ids=["mixed", "planted"])
+    def test_prior_of_any_trace_gives_the_unit_trace_solve(self, k, planted):
+        # Z absorbs the prior's scale: ln phi moves by ln(tr) I, which the
+        # Gibbs weights divide out and ln Z carries
+        if planted:
+            rng = np.random.default_rng(7)
+            base = random_state(rng, 4).matrix
+            obs = [random_hermitian(rng, 4) for _ in range(2)]
+            post = posterior_from_multipliers(DensityMatrix(base), obs, [0.4, -0.7])
+            cons = [QuantumConstraint(o, expectation(post, o)) for o in obs]
+        else:
+            base = np.eye(3) / 3
+            a = np.array([[1, 0.5, 0], [0.5, 0, 0.2j], [0, -0.2j, -1]])
+            cons = [QuantumConstraint(HermitianOperator(a), 0.3)]
+        unit = solve_quantum(DensityMatrix(base), cons)
+        tr = 10.0**k
+        report = solve_quantum(DensityMatrix(base * tr), cons)
+        assert unit.converged and report.converged
+        assert report.iterations == unit.iterations
+        np.testing.assert_allclose(report.multipliers, unit.multipliers, rtol=1e-12, atol=0)
+        assert report.log_partition - np.log(tr) == pytest.approx(unit.log_partition, abs=1e-12)
+        np.testing.assert_allclose(report.posterior.matrix, unit.posterior.matrix, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_unnormalized_maximally_mixed_prior_gives_the_normalized_posterior(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        obs = [random_hermitian(rng, dim) for _ in range(2)]
+        post = posterior_from_multipliers(DensityMatrix(np.eye(dim) / dim), obs, [0.5, -0.3])
+        cons = [QuantumConstraint(o, expectation(post, o)) for o in obs]
+        unit = solve_quantum(DensityMatrix(np.eye(dim) / dim), cons)
+        report = solve_quantum(DensityMatrix(np.eye(dim)), cons)
+        assert report.converged
+        np.testing.assert_allclose(report.posterior.matrix, unit.posterior.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.multipliers, unit.multipliers, rtol=1e-12, atol=0)
+        assert report.log_partition == pytest.approx(unit.log_partition + np.log(dim), abs=1e-12)
 
     @pytest.mark.parametrize("target", [np.nan, np.inf], ids=["nan", "inf"])
     def test_constraint_rejects_non_finite_target(self, target):

@@ -153,7 +153,12 @@ def relative_entropy(
     support = r > 0
     if np.any(support & (p == 0)):
         raise SupportViolationError("rho has weight where phi vanishes")
-    s = float(np.sum(r[support] * np.log(r[support] / p[support])))
+    rs, ps = r[support], p[support]
+    with np.errstate(over="ignore", divide="ignore"):
+        ln_ratio = np.log(rs / ps)
+    lost = np.isinf(ln_ratio)  # the ratio left the float range; ln r - ln p did not
+    ln_ratio[lost] = np.log(rs[lost]) - np.log(ps[lost])
+    s = float(np.sum(rs * ln_ratio))
     if variant == "normalized":
         # not -s, which is -0.0 for rho = phi
         return 0.0 - s

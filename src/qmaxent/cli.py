@@ -78,7 +78,7 @@ def run_update(path: str, out_path: str | None = None) -> int:
             from .spin import solve_spin, spin_relative_entropy
 
             problem = payload["problem"]
-            report = solve_spin(problem, **payload["options"])
+            report = solve_spin(problem)
             entropy = {
                 v: spin_relative_entropy(report.posterior, problem, v) for v in ("full", "umegaki")
             }

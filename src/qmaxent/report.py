@@ -14,8 +14,10 @@ class SolverReport:
 
     posterior is a ClassicalDistribution or a DensityMatrix depending on
     the solver. log_partition is ln Z, which stays finite where Z
-    overflows. converged means the residual max norm met the requested
-    tolerance.
+    overflows. For the classical and quantum solvers, converged means the
+    residual max norm met the requested tolerance; the spin solver takes
+    no tolerance, and reports converged for every multiplier it returns,
+    the float at which F first reaches the target.
     """
 
     multipliers: np.ndarray

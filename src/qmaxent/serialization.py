@@ -132,7 +132,7 @@ def parse_problem(obj) -> tuple[str, dict]:
 
     classical payload: prior (ClassicalDistribution), constraints, options.
     quantum payload: prior (DensityMatrix), constraints, options.
-    spin payload: problem (SpinProblem), options (tol only).
+    spin payload: problem (SpinProblem); its solver block is checked, then ignored.
     """
     if not isinstance(obj, dict):
         raise ProblemFormatError("problem file must be a JSON object")
@@ -158,8 +158,7 @@ def parse_problem(obj) -> tuple[str, dict]:
             cz=_real_scalar(c[3], "c[3]"),
             target=_real_scalar(obj.get("target"), "target"),
         )
-        options.pop("max_iter", None)
-        return mode, {"problem": problem, "options": options}
+        return mode, {"problem": problem}
 
     raw_constraints = obj.get("constraints", [])
     if not isinstance(raw_constraints, list):

@@ -29,7 +29,6 @@ from .errors import DomainError, InfeasibleTargetError
 from .quantum import DensityMatrix, _relative_entropy_to_log
 from .report import SolverReport
 
-DEFAULT_TOL = 1e-12
 # |ln a - ln b| < 1455 for positive floats, so beyond |u| = 2^40 the unit
 # observable's value is within 3e-19 of -1 or 1, below its rounding: this
 # bracket holds every target that floats can tell from the range's edge
@@ -141,38 +140,35 @@ def spin_relative_entropy(rho: DensityMatrix, p: SpinProblem, variant: str = "fu
     return _relative_entropy_to_log(rho, np.diag(np.log([p.a, p.b])), variant)
 
 
-def _report(p: SpinProblem, alpha: float, steps: int, tol: float) -> SolverReport:
-    residual = spin_constraint_value(p, alpha) - p.target
+def _report(p: SpinProblem, alpha: float, steps: int) -> SolverReport:
     return SolverReport(
         multipliers=np.array([alpha]),
         log_partition=_log_partition(p, alpha),
         posterior=spin_posterior(p, alpha),
-        residuals=np.array([residual]),
+        residuals=np.array([spin_constraint_value(p, alpha) - p.target]),
         iterations=steps,
-        converged=bool(abs(residual) <= tol),
+        converged=True,
     )
 
 
-def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
+def solve_spin(p: SpinProblem) -> SolverReport:
     """Bisection solve of F(alpha) = target.
 
-    When c = 0, F is the constant c1: alpha is 0 if the target matches,
+    When c = 0, F is the constant c1: alpha is 0 if the target equals it,
     otherwise no multiplier exists. Otherwise g(u) is nondecreasing (its
     derivative is a variance), so s = (target - c1)/|c| is attainable
     exactly when g(-2^40) < s < g(2^40). That bracket is bisected on the
     floats' ordered keys (-u has minus u's key) until its ends are
     adjacent, at most 64 steps; u is the smallest float whose g reaches
-    s. tol only judges converged = |F(alpha) - target| <= tol; a
-    DomainError is raised where alpha = u/|c| leaves the float range, or
-    where the division underflows: |alpha| below both |u| and the
-    smallest normal float.
+    s, so no tolerance is taken and every multiplier returned is reported
+    converged. A DomainError is raised where alpha = u/|c| leaves the
+    float range, or where the division underflows: |alpha| below both
+    |u| and the smallest normal float.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     amp = math.hypot(p.cx, p.cy, p.cz)
     if amp == 0.0:
-        if abs(p.c1 - p.target) <= tol:
-            return _report(p, 0.0, 0, tol)
+        if p.c1 == p.target:
+            return _report(p, 0.0, 0)
         raise InfeasibleTargetError(
             f"constraint value is constant {p.c1!r}; target {p.target!r} unreachable"
         )
@@ -198,4 +194,4 @@ def solve_spin(p: SpinProblem, tol: float = DEFAULT_TOL) -> SolverReport:
     alpha = u / amp
     if not math.isfinite(alpha) or abs(alpha) < min(abs(u), sys.float_info.min):
         raise DomainError(f"multiplier u / |c| = {u!r} / {amp!r} leaves the float range")
-    return _report(p, alpha, steps, tol)
+    return _report(p, alpha, steps)

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -192,6 +193,17 @@ class TestRelativeEntropy:
         rho = ClassicalDistribution([0.0, 1.0])
         phi = ClassicalDistribution([0.0, 1.0])
         assert relative_entropy(rho, phi, "normalized") == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "r, p", [([0.5, 0.5], [1e-320, 1.0]), ([1e-320, 1.0], [1e10, 1.0])],
+        ids=["ratio-overflows", "ratio-underflows"],
+    )
+    def test_ratio_beyond_the_float_range_keeps_a_finite_value(self, r, p):
+        # ln(r_i / p_i) gave +-inf with a RuntimeWarning for a ratio that
+        # overflows or underflows to 0, where ln r_i - ln p_i is finite
+        expected = -sum(ri * (math.log(ri) - math.log(pi)) for ri, pi in zip(r, p))
+        got = relative_entropy(ClassicalDistribution(r), ClassicalDistribution(p), "normalized")
+        assert got == pytest.approx(expected, rel=1e-15)
 
     def test_support_violation(self):
         with pytest.raises(SupportViolationError):
@@ -450,6 +462,17 @@ class TestSolveClassical:
         report = solve_classical(prior, [ClassicalConstraint(a, target)])
         assert report.converged
         assert float(a @ report.posterior.weights) == pytest.approx(target, abs=1e-9)
+
+
+def test_evaluate_errstate_silences_an_overflowing_matmul():
+    # a trial alpha for this tiny prior weight overflows a^T alpha; without
+    # evaluate's errstate numpy warns "overflow encountered in matmul"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_classical(
+            ClassicalDistribution([1.0, 1e-312]), [ClassicalConstraint([0.0, 100.0], 0.5)]
+        )
+    assert np.all(np.isfinite(report.multipliers))
 
 
 class TestDependencyCertificate:

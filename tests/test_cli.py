@@ -444,9 +444,7 @@ class TestUpdateRegressions:
 
     def test_spin_file_whose_components_square_overflows_is_solved(self, tmp_path, capsys):
         # it exited 2, calling the feasible target infeasible, then 1, with
-        # |c| bounded by 6.7e153, then 3; the absolute tol is met only because
-        # F rounds onto the target (residual 0.0): at 1e159 how F rounds, not
-        # alpha, decides between exit 0 and 3
+        # |c| bounded by 6.7e153, then 3
         path = write_problem(
             tmp_path / "spin.json",
             {"mode": "spin", "a": 0.5, "b": 0.5, "c": [0, 1e160, 0, 0], "target": 1e159},
@@ -480,6 +478,28 @@ class TestUpdateRegressions:
         assert report["converged"] is True
         assert report["multipliers"][0] == pytest.approx(math.atanh(0.3), rel=1e-12)
         assert report["log_partition"] == pytest.approx(-459.77671607851357, rel=1e-14)
+
+    def test_classical_entropy_whose_ratio_underflows_is_finite(self, tmp_path, capsys):
+        # the posterior's first weight is 9.2e-318, so its ratio to the
+        # prior's 1e7 underflowed to 0: numpy warned "divide by zero
+        # encountered in log" and both entropies were written as null
+        path = write_problem(
+            tmp_path / "classical.json",
+            {
+                "mode": "classical",
+                "prior": [1e7, 1e7, 1e7],
+                "constraints": [{"observable": [0, 0.99, 1], "target": 0.9999932491726937}],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["update", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("classical: converged in ")
+        assert captured.err.count("\n") == 1
+        entropy = json.loads(captured.out)["entropy"]
+        assert entropy["full"] == pytest.approx(17.1237, abs=1e-4)
+        assert entropy["normalized"] == pytest.approx(16.1237, abs=1e-4)
 
     @pytest.mark.parametrize(
         "prior, observable, target",

@@ -1,5 +1,7 @@
 """The shared Newton iteration: its start, one SVD per step, the certificate, its arguments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,16 @@ class TestNewtonStep:
         )
         assert not report.converged
         assert report.iterations == 0
+
+    def test_decrement_errstate_silences_an_overflowing_divide(self):
+        # the decrement's (ut @ r) / sk overflows for this tiny prior weight;
+        # without its errstate numpy warns "overflow encountered in divide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_classical(
+                ClassicalDistribution([1.0, 2e-309]), [ClassicalConstraint([0.0, 2.0], 0.5)]
+            )
+        assert np.all(np.isfinite(report.multipliers))
 
 
 def test_dependency_certificate_runs_no_hermitian_eigensolve(monkeypatch):

@@ -176,8 +176,13 @@ class TestParseProblem:
         assert (problem.a, problem.b) == (0.5, 0.5)
         assert (problem.c1, problem.cx, problem.cy, problem.cz) == (0.0, 0.0, 0.0, 1.0)
         assert problem.target == 0.4
-        # the scalar solver takes no iteration cap
-        assert payload["options"] == {"tol": 1e-13}
+        # the bisection runs to adjacent floats: it takes no tol or iteration cap
+        assert payload == {"problem": problem}
+
+    def test_spin_solver_block_is_still_checked(self):
+        obj = {"mode": "spin", "a": 0.5, "b": 0.5, "c": [0.0, 0.0, 0.0, 1.0], "target": 0.4}
+        with pytest.raises(ProblemFormatError, match="solver.tol"):
+            parse_problem(dict(obj, solver={"tol": -1.0}))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ProblemFormatError, match="mode"):

@@ -62,18 +62,24 @@ class PropertyResult:
         object.__setattr__(self, "passed", bool(self.max_deviation <= self.threshold))
 
 
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """weights over their sum, taken of weights / max so that the sum stays in the float range."""
+    scaled = weights / weights.max()
+    return scaled / scaled.sum()
+
+
 def check_prior_recovery(prior) -> PropertyResult:
-    """With no constraints the posterior is the normalized prior."""
+    """With no constraints the posterior is the normalized prior.
+
+    That reference is normalized here, apart from the solve: the weights
+    over their sum, or the matrix over its trace, finite and positive.
+    """
     if isinstance(prior, ClassicalDistribution):
         report = solve_classical(prior, [])
-        deviation = float(
-            np.max(np.abs(report.posterior.weights - prior.normalize().weights))
-        )
+        deviation = float(np.max(np.abs(report.posterior.weights - _normalized(prior.weights))))
     elif isinstance(prior, DensityMatrix):
         report = solve_quantum(prior, [])
-        deviation = float(
-            np.max(np.abs(report.posterior.matrix - prior.normalize().matrix))
-        )
+        deviation = float(np.max(np.abs(report.posterior.matrix - prior.matrix / prior.trace)))
     else:
         raise TypeError(f"unsupported prior type {type(prior).__name__}")
     return PropertyResult("prior_recovery", deviation, PRIOR_RECOVERY_TOL)
@@ -206,17 +212,17 @@ def check_subdomain_independence(
         raise ShapeError(f"mask shape {mask.shape} does not match {prior.n} states")
     if not mask.any() or mask.all():
         raise DomainError("domain must be a proper nonempty subset of the states")
-    normalized = prior.normalize()
+    weights = _normalized(prior.weights)
     if domain_probability is None:
-        domain_probability = float(normalized.weights[mask].sum())
+        domain_probability = float(weights[mask].sum())
     constraints = [ClassicalConstraint(mask.astype(float), domain_probability)]
     if local_constraint is not None:
         if np.any(local_constraint.values[~mask] != 0):
             raise DomainError("local constraint must vanish outside the domain")
         constraints.append(local_constraint)
-    report = solve_classical(normalized, constraints, tol=SOLVE_TOL)
+    report = solve_classical(prior, constraints, tol=SOLVE_TOL)
     post = report.posterior.weights[~mask]
-    base = normalized.weights[~mask]
+    base = weights[~mask]
     deviation = float(np.max(np.abs(post / post.sum() - base / base.sum())))
     return PropertyResult("subdomain_independence", deviation, SUBDOMAIN_TOL)
 

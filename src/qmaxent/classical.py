@@ -83,7 +83,6 @@ class ClassicalDistribution:
     def _setup(self, weights: np.ndarray) -> None:
         weights.setflags(write=False)
         self.weights = weights
-        self.normalized = abs(self.total - 1.0) <= 1e-12
 
     @property
     def n(self) -> int:
@@ -95,18 +94,8 @@ class ClassicalDistribution:
         with np.errstate(over="ignore"):
             return float(self.weights.sum())
 
-    def normalize(self) -> "ClassicalDistribution":
-        if self.normalized:
-            return self
-        weights, total = self.weights, self.total
-        if total == np.inf:
-            # scaled by the largest weight, as dual._norm takes, the sum is finite
-            weights = weights / weights.max()
-            total = float(weights.sum())
-        return ClassicalDistribution(weights / total)
-
     def __repr__(self) -> str:
-        return f"ClassicalDistribution(n={self.n}, normalized={self.normalized})"
+        return f"ClassicalDistribution(n={self.n})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +104,9 @@ class ClassicalConstraint:
 
     values is a read-only view of the array given, not a copy: a float64
     array shares its memory, so later writes to it show through here.
-    solve_classical copies the values into its own stacked block and
-    checks that copy, so a solve uses exactly the values it checked.
+    So the constraint checks only its shape and its target: the one check
+    of the values is solve_classical's, of the copy in its own stacked
+    block, so a solve uses exactly the values it checked.
     """
 
     values: np.ndarray
@@ -127,7 +117,6 @@ class ClassicalConstraint:
         arr = np.asarray(self.values, dtype=float).view()
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError(f"constraint values must be a nonempty vector, got shape {arr.shape}")
-        _finite_range(arr, "constraint values")
         if not np.isfinite(self.target):
             raise DomainError("constraint target must be finite")
         arr.setflags(write=False)

@@ -12,7 +12,7 @@ solver's bounds and spectrum, and jointly unreachable targets.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -79,6 +79,21 @@ def _newton_step(
     return None, None, vt[~keep]
 
 
+def _trial_scales(step: np.ndarray, spectrum: Callable[[np.ndarray], np.ndarray]) -> Iterator[float]:
+    """STEP_SCALES, then, once all fail, STEP_SCALES * ln(1 + W) / W if 0 < W < inf.
+
+    The step moves the exponent over a range W, spectrum(step)'s, so the
+    damped one moves no weight by more than a factor 1 + W.
+    """
+    yield from STEP_SCALES
+    # a step whose spectrum overflows gives W = inf, so no damped trial
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = spectrum(step)
+        width = float(spec.max() - spec.min())
+    if 0 < width < math.inf:
+        yield from STEP_SCALES * (math.log1p(width) / width)
+
+
 def newton_dual(
     start: Callable[[], tuple[Any, float, np.ndarray]],
     targets: np.ndarray,
@@ -109,12 +124,13 @@ def newton_dual(
     square-root-weighted factor, so positive semidefinite by construction;
     spectrum(d) gives the eigenvalues of sum_i d_i A_i (for a classical
     problem, its values on the states); posterior(state) is the reported
-    posterior. The line search halves the step from 1 until a trial's
-    gradient r has decrement(r) <= (1 - scale / 4)^2 decrement(grad)
-    (_newton_step), Deuflhard's natural monotonicity test, which a NaN r
-    fails; it reads no ln Z, so it needs nothing about how a solver rounds
-    it. The iteration stops when max |gradient| <= tol, which an empty
-    gradient meets at once: a problem with no targets returns the start.
+    posterior. The line search halves the step from 1, and then from the
+    damped scale of _trial_scales, until a trial's gradient r has
+    decrement(r) <= (1 - scale / 4)^2 decrement(grad) (_newton_step),
+    Deuflhard's natural monotonicity test, which a NaN r fails; it reads
+    no ln Z, so it needs nothing about how a solver rounds it. The
+    iteration stops when max |gradient| <= tol, which an empty gradient
+    meets at once: a problem with no targets returns the start.
     _certify may raise InfeasibleTargetError before the line search of a
     step that leaves more than tol of the gradient along a null direction
     of H, and once the iteration stops otherwise: where H gives no step
@@ -164,7 +180,7 @@ def newton_dual(
         # one state at a time: the accepted one is dropped before the
         # first trial, and each rejected trial before the next
         state = dropped
-        for scale in STEP_SCALES:
+        for scale in _trial_scales(step, spectrum):
             cand = alpha + scale * step
             cand_state = None
             cand_state, cand_ln_z, cand_grad = evaluate(cand)

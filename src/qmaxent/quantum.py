@@ -35,7 +35,6 @@ from .report import SolverReport
 
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
-TRACE_TOL = 1e-10
 BRACKET_SLACK = 4.0
 
 
@@ -80,7 +79,6 @@ class DensityMatrix:
         for arr in (matrix, eigenvalues, eigenvectors):
             arr.setflags(write=False)
         self.trace = trace
-        self.normalized = abs(trace - 1.0) <= TRACE_TOL
 
     @property
     def dim(self) -> int:
@@ -89,15 +87,8 @@ class DensityMatrix:
     def is_full_rank(self) -> bool:
         return float(self.eigenvalues[0]) > FULL_RANK_EIG * self.trace
 
-    def normalize(self) -> "DensityMatrix":
-        if self.normalized:
-            return self
-        return DensityMatrix._from_spectrum(
-            self.matrix / self.trace, self.eigenvalues / self.trace, self.eigenvectors
-        )
-
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, normalized={self.normalized})"
+        return f"DensityMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)

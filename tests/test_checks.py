@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ class TestPriorRecovery:
     def test_rejects_unknown_prior_type(self):
         with pytest.raises(TypeError):
             check_prior_recovery([0.5, 0.5])
+
+
+def test_priors_summing_past_the_float_range_give_deviation_zero():
+    # each check takes its reference over weights / max: over the plain sum,
+    # inf, prior recovery deviated by 0.5 and subdomain independence raised
+    # "total weight must be positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [
+            check_prior_recovery(ClassicalDistribution([1e308, 1e308])),
+            check_subdomain_independence(ClassicalDistribution([1e308] * 3), [True, False, False]),
+        ]
+    for result in results:
+        assert result.max_deviation == 0.0 and result.passed, result
 
 
 class TestSubsystemIndependence:

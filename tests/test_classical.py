@@ -74,10 +74,6 @@ def _count_newton_steps(monkeypatch):
 
 
 class TestClassicalDistribution:
-    def test_auto_detects_normalization(self):
-        assert ClassicalDistribution([0.25, 0.75]).normalized
-        assert not ClassicalDistribution([1.0, 2.0]).normalized
-
     def test_rejects_negative_and_empty(self):
         with pytest.raises(DomainError):
             ClassicalDistribution([0.5, -0.1])
@@ -94,23 +90,7 @@ class TestClassicalDistribution:
             ClassicalDistribution(weights)
 
     def test_repr(self):
-        assert repr(ClassicalDistribution([1.0, 3.0])) == "ClassicalDistribution(n=2, normalized=False)"
-
-    def test_normalize_is_identity_when_normalized(self):
-        d = ClassicalDistribution([0.3, 0.7])
-        assert d.normalize() is d
-
-    def test_normalize(self):
-        d = ClassicalDistribution([2.0, 6.0]).normalize()
-        np.testing.assert_allclose(d.weights, [0.25, 0.75])
-
-    def test_normalize_divides_by_the_plain_sum_where_it_is_finite(self):
-        rng = np.random.default_rng(3)
-        for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
-            w = scale * rng.uniform(0.1, 10.0, size=50)
-            np.testing.assert_array_equal(
-                ClassicalDistribution(w).normalize().weights, w / float(w.sum())
-            )
+        assert repr(ClassicalDistribution([1.0, 3.0])) == "ClassicalDistribution(n=2)"
 
     def test_weights_are_a_read_only_view_that_leaves_the_callers_array_writable(self):
         # the distribution used to keep its own copy, one more length-n
@@ -128,25 +108,18 @@ class TestClassicalDistribution:
         with pytest.raises(DomainError, match="weights must be finite"):
             ClassicalDistribution([1.0, bad])
 
-    def test_weights_summing_beyond_the_float_range_normalize_without_overflow(self):
-        # the plain sum is inf: it used to warn, and normalize() divided by
-        # it and raised "total weight must be positive"
+    def test_weights_summing_beyond_the_float_range_are_normalized_by_the_solve(self):
+        # the plain sum is inf: a normalization that divides by it warns
+        # and raises "total weight must be positive"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = ClassicalDistribution([1e308, 1e308])
-            assert not d.normalized
-            np.testing.assert_array_equal(d.normalize().weights, [0.5, 0.5])
+            np.testing.assert_array_equal(solve_classical(d, []).posterior.weights, [0.5, 0.5])
             result = check_prior_recovery(d)
         assert result.passed, result
 
 
 class TestClassicalConstraint:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_are_rejected(self, bad):
-        # the range of the values, taken once, shows a NaN or an infinity
-        with pytest.raises(DomainError, match="constraint values must be finite"):
-            ClassicalConstraint([1.0, bad, 3.0], 2.0)
-
     @pytest.mark.parametrize(
         "values, target, error, message",
         [
@@ -289,14 +262,21 @@ class TestSolveClassical:
                 ClassicalDistribution([0.5, 0.5]), [ClassicalConstraint([1.0, 2.0, 3.0], 2.0)]
             )
 
-    def test_nan_written_after_construction_is_rejected_by_the_solve(self):
-        # the constraint is a view of arr; the solve checks the values it
-        # copies, where it used to solve a copy taken at construction
+    @pytest.mark.parametrize("written_after", [False, True], ids=["given", "written-after"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_is_rejected_by_the_solve(self, bad, written_after):
+        # the constraint is a view of arr, so it checks no values: the solve
+        # checks the ones it copies, given at construction or written after
         arr = np.array([1.0, 2.0, 3.0])
+        if not written_after:
+            arr[1] = bad
         c = ClassicalConstraint(arr, 2.5)
-        arr[1] = np.nan
-        with pytest.raises(DomainError, match="constraint 0: values must be finite"):
-            solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
+        arr[1] = bad
+        with pytest.raises(DomainError, match="constraint 1: values must be finite"):
+            solve_classical(
+                ClassicalDistribution([1.0, 1.0, 1.0]),
+                [ClassicalConstraint([0.0, 1.0, 1.0], 0.5), c],
+            )
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -321,7 +301,7 @@ class TestSolveClassical:
             ClassicalDistribution([1.0, 1.0, 1.0]), [ClassicalConstraint([1.0, 2.0, 3.0], 2.5)]
         )
         weights = report.posterior.weights
-        assert report.posterior.normalized
+        assert abs(report.posterior.total - 1.0) <= 1e-12
         assert not weights.flags.writeable
         # its own array, not a view of another
         assert weights.base is None
@@ -432,7 +412,7 @@ class TestSolveClassical:
             report = solve_classical(prior, [ClassicalConstraint(a, target)], tol=1e-10)
             assert report.converged
             assert report.max_residual <= 1e-10
-            assert report.posterior.normalized
+            assert abs(report.posterior.total - 1.0) <= 1e-12
             assert np.all(report.posterior.weights > 0)
 
     def test_max_iter_exhaustion_reports_not_converged(self):

@@ -215,7 +215,7 @@ class TestStartState:
         rng = np.random.default_rng(8)
         u = _unitary(rng, 4)
         prior = DensityMatrix((u * np.array(spectrum)) @ u.conj().T)
-        assert prior.normalized
+        assert abs(prior.trace - 1.0) <= 1e-10
         observables = [HermitianOperator(PAULI_Z), HermitianOperator(PAULI_X)]
         cons = [
             QuantumConstraint(np.kron(o.matrix, np.eye(2)), t)
@@ -256,16 +256,26 @@ def test_smallest_step_scale_still_asks_for_descent():
     assert (1 - STEP_SCALES[-1] / 4) ** 2 < 1
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="CHANGES.md:79: the 40 halvings of a step of 5e13 end past the solution",
-)
 def test_prior_weight_of_1e_14_on_a_needed_state_is_solved():
     # H = 1e-14 at alpha = 0 makes the Newton step 0.5 / H, and every
-    # trial down to 2^-39 of it fails the monotonicity test
+    # trial down to 2^-39 of it fails the monotonicity test; it exited 3
+    # after 0 iterations before the damped trials
     report = solve_classical(ClassicalDistribution([1.0, 1e-14]), [ClassicalConstraint([0.0, 1.0], 0.5)])
     assert report.converged
     assert report.multipliers[0] == pytest.approx(np.log(1e14), rel=1e-10)
+
+
+def test_prior_weights_from_1e_13_to_1e_300_on_a_needed_state_are_solved():
+    # prior (1, w), row (0, 1), target 0.5: alpha = -ln w, whose step the
+    # damped trials reach once the halvings fail, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(13, 301):
+            report = solve_classical(
+                ClassicalDistribution([1.0, 10.0 ** -k]), [ClassicalConstraint([0.0, 1.0], 0.5)]
+            )
+            assert report.converged, k
+            assert report.multipliers[0] == pytest.approx(k * np.log(10), rel=1e-12), k
 
 
 class TestLineSearchRounding:

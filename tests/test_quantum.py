@@ -33,10 +33,6 @@ def random_state(rng, dim):
 
 
 class TestDensityMatrix:
-    def test_accepts_psd_and_detects_normalization(self):
-        assert DensityMatrix(np.eye(2) / 2).normalized
-        assert not DensityMatrix(np.eye(2)).normalized
-
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.diag([1.0, -0.1]))
@@ -45,7 +41,7 @@ class TestDensityMatrix:
         DensityMatrix(np.diag([1.0, -1e-13]))
 
     def test_repr(self):
-        assert repr(DensityMatrix(np.eye(3))) == "DensityMatrix(dim=3, normalized=False)"
+        assert repr(DensityMatrix(np.eye(3))) == "DensityMatrix(dim=3)"
 
     @pytest.mark.parametrize("trace", [1.0, 1e3, 1e6, 1e9, 1e200])
     def test_rank_deficient_state_is_not_refused_at_large_trace(self, trace):
@@ -81,12 +77,6 @@ class TestDensityMatrix:
     def test_rejects_zero_trace(self, dim):
         with pytest.raises(DomainError, match="trace must be positive"):
             DensityMatrix(np.zeros((dim, dim)))
-
-    def test_normalize(self):
-        d = DensityMatrix(np.eye(4))
-        np.testing.assert_allclose(d.normalize().matrix, np.eye(4) / 4)
-        n = DensityMatrix(np.eye(2) / 2)
-        assert n.normalize() is n
 
     def test_full_rank_detection(self):
         assert DensityMatrix(np.eye(2) / 2).is_full_rank()
@@ -125,7 +115,7 @@ class TestStoredDecomposition:
         obs = [random_hermitian(rng, 3)]
         post = posterior_from_multipliers(prior, obs, [0.5])
         report = solve_quantum(prior, [QuantumConstraint(obs[0], expectation(post, obs[0]))])
-        for rho in (prior, post, report.posterior, DensityMatrix(np.eye(3)).normalize()):
+        for rho in (prior, post, report.posterior, solve_quantum(DensityMatrix(np.eye(3)), []).posterior):
             assert np.array_equal(rho.matrix, rho.matrix.conj().T)
             with pytest.raises(ValueError):
                 rho.matrix[0, 0] = 0.5
@@ -138,7 +128,7 @@ class TestStoredDecomposition:
         report = solve_quantum(prior, [QuantumConstraint(o, expectation(ref, o)) for o in obs])
         assert report.converged
         for rho in (ref, report.posterior):
-            assert rho.normalized
+            assert abs(rho.trace - 1.0) <= 1e-10
             np.testing.assert_allclose(
                 rho.eigenvalues, np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-14
             )
@@ -146,9 +136,11 @@ class TestStoredDecomposition:
             u = rho.eigenvectors
             np.testing.assert_allclose((u * rho.eigenvalues) @ u.conj().T, rho.matrix, atol=1e-15)
 
-    def test_normalize_reuses_the_decomposition(self):
+    def test_solve_without_constraints_reuses_the_decomposition(self, monkeypatch):
+        # the normalized prior, from the prior's own decomposition: an eigh would raise
         d = DensityMatrix(np.diag([1.0, 3.0]))
-        n = d.normalize()
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        n = solve_quantum(d, []).posterior
         np.testing.assert_allclose(n.eigenvalues, [0.25, 0.75], rtol=1e-15)
         assert n.eigenvectors is d.eigenvectors
 
@@ -239,7 +231,7 @@ class TestPosteriorFromMultipliers:
         phi = random_state(rng, 4)
         obs = [random_hermitian(rng, 4) for _ in range(2)]
         post = posterior_from_multipliers(phi, obs, rng.normal(size=2))
-        assert post.normalized
+        assert abs(post.trace - 1.0) <= 1e-10
         assert post.eigenvalues[0] > -1e-12
 
     def test_rank_deficient_prior_rejected(self):
@@ -514,7 +506,7 @@ class TestSolveQuantum:
             report = solve_quantum(prior, cons, tol=1e-10)
             assert report.converged
             assert report.max_residual <= 1e-10
-            assert report.posterior.normalized
+            assert abs(report.posterior.trace - 1.0) <= 1e-10
 
 
 def test_posterior_from_multipliers_past_the_float_range_of_z_without_overflow_warning():

@@ -187,14 +187,16 @@ class TestStallCertificate:
 
     alpha runs off toward the face of the Bloch ball nearest the targets,
     where the Hessian turns singular; alpha/|alpha| then separates the
-    targets from every state. For (0.6, 0.6, 0.6) that is found before
-    the line search of step 14, for (0.9, 0.1, 0.9) once it stalls.
+    targets from every state. For both target sets that is found before
+    the line search of step 14; on the way, the halvings of one step for
+    (0.9, 0.1, 0.9) all fail, where they stalled at |alpha| = 15.7, and
+    the damped trials go on.
     """
 
     @pytest.mark.parametrize(
         "targets, stop",
         [((0.6, 0.6, 0.6), "singular Hessian after 13 iterations"),
-         ((0.9, 0.1, 0.9), "line search stalled")],
+         ((0.9, 0.1, 0.9), "singular Hessian after 13 iterations")],
     )
     def test_stalled_search_raises_farkas_certificate(self, targets, stop):
         prior = DensityMatrix(np.eye(2) / 2)

@@ -11,6 +11,8 @@ change any output (an equivalent mutant).
     python tools/mutate.py            # every mutant
     python tools/mutate.py NAME ...   # only the named ones
 
+The exit status is 1 when a mutant survives that is not in
+EXPECTED_SURVIVORS, or when one that is in it is killed, and else 0.
 Needs only the standard library and what the tests need. Each mutant
 costs up to one full test run.
 """
@@ -52,6 +54,30 @@ MUTANTS = [
         "",
     ),
     (
+        "damped-trial",
+        "src/qmaxent/dual.py",
+        "        yield from STEP_SCALES * (math.log1p(width) / width)\n",
+        "        return\n",
+    ),
+    (
+        "damped-trial-width-guard",
+        "src/qmaxent/dual.py",
+        "    if 0 < width < math.inf:\n",
+        "    if True:\n",
+    ),
+    (
+        "classical-row-check",
+        "src/qmaxent/classical.py",
+        "bounds[:, k] = _finite_range(a[k], f\"constraint {k}: values\")",
+        "bounds[:, k] = a[k].min(), a[k].max()",
+    ),
+    (
+        "normalized-reference-scaling",
+        "src/qmaxent/checks.py",
+        "    scaled = weights / weights.max()\n",
+        "    scaled = weights\n",
+    ),
+    (
         "spin-constant-observable-tol",
         "src/qmaxent/spin.py",
         "if p.c1 == p.target:",
@@ -63,6 +89,21 @@ MUTANTS = [
         "src/qmaxent/quantum.py",
         "BRACKET_SLACK * dim * dim *",
         "BRACKET_SLACK * dim *",
+    ),
+    # survives as an equivalent mutant: the two differ only where a
+    # trial's decrement equals the bound exactly
+    (
+        "line-search-strict",
+        "src/qmaxent/dual.py",
+        "if decrement(cand_grad) <= (1 - scale / 4) ** 2 * bound:",
+        "if decrement(cand_grad) < (1 - scale / 4) ** 2 * bound:",
+    ),
+    # survives: no input is known that makes a solve raise LinAlgError
+    (
+        "cli-linalgerror",
+        "src/qmaxent/cli.py",
+        "except (DomainError, ShapeError, np.linalg.LinAlgError) as exc:",
+        "except (DomainError, ShapeError) as exc:",
     ),
     # the three fast paths survive as equivalent mutants: each skips work
     # whose result the general path computes to the same bytes
@@ -85,6 +126,15 @@ MUTANTS = [
         "            if False:\n",
     ),
 ]
+
+EXPECTED_SURVIVORS = {
+    "bracket-slack-dim",
+    "line-search-strict",
+    "cli-linalgerror",
+    "matrix-pair-fast-path",
+    "vector-float-fast-path",
+    "float-lines-fast-path",
+}
 
 IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work", "_out", "*.egg-info"
@@ -126,13 +176,18 @@ def main(argv: list[str]) -> int:
     if unknown:
         raise SystemExit(f"unknown mutant(s): {', '.join(sorted(unknown))}")
     width = max(len(m[0]) for m in chosen)
-    survivors = 0
+    survivors, unexpected = 0, []
     for name, path, old, new in chosen:
         killed, test = run(name, path, old, new)
         survivors += not killed
+        if killed == (name in EXPECTED_SURVIVORS):
+            unexpected.append(name)
         verdict = f"killed    {test}" if killed else "survived"
         print(f"{name:<{width}}  {path:<28}  {verdict}", flush=True)
     print(f"{len(chosen) - survivors} killed, {survivors} survived")
+    if unexpected:
+        print(f"not as expected: {', '.join(unexpected)}")
+        return 1
     return 0
 
 

@@ -26,7 +26,7 @@ _HOME = {
     "PropertyResult": "checks",
     "QuantumConstraint": "quantum",
     "ShapeError": "errors",
-    "SolverReport": "report",
+    "SolverReport": "dual",
     "SpinProblem": "spin",
     "SupportViolationError": "errors",
     "check_commuting_reduction": "checks",
@@ -50,7 +50,6 @@ _HOME = {
     "solve_quantum": "quantum",
     "solve_spin": "spin",
     "spin_constraint_value": "spin",
-    "spin_partition": "spin",
     "spin_posterior": "spin",
     "trace_product": "linalg",
 }

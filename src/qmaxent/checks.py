@@ -14,13 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import (
-    ClassicalConstraint,
-    ClassicalDistribution,
-    logsumexp,
-    relative_entropy,
-    solve_classical,
-)
+from .classical import ClassicalConstraint, ClassicalDistribution, relative_entropy, solve_classical
+from .dual import logsumexp
 from .errors import DomainError, ShapeError
 from .linalg import HermitianOperator, matrix_exp
 from .quantum import (

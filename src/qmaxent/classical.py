@@ -32,10 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, SolverReport, logsumexp, newton_dual
 from .errors import DomainError, ShapeError, SupportViolationError
 from .linalg import single_blas_thread
-from .report import SolverReport
 
 # bytes of the (m, cols) buffer the covariance is added up in, sized to
 # stay in a per-core cache

@@ -1,4 +1,4 @@
-"""The Newton iteration on the convex dual, shared by the solvers.
+"""The Newton iteration on the convex dual, shared by the solvers, and its SolverReport.
 
 Both the classical and the quantum solver minimize G(alpha) = ln Z(alpha)
 - alpha.t, whose gradient is the residual vector <A> - t and whose
@@ -12,18 +12,42 @@ solver's bounds and spectrum, and jointly unreachable targets.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError
-from .report import SolverReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 RCOND = 1e-12
 # backtracking halves the step from 1 down to 2^-39, about 1.8e-12
 STEP_SCALES = 0.5 ** np.arange(40)
+
+
+@dataclass
+class SolverReport:
+    """Outcome of a constrained update.
+
+    posterior is a ClassicalDistribution or a DensityMatrix depending on
+    the solver. log_partition is ln Z, which stays finite where Z
+    overflows. For the classical and quantum solvers, converged means the
+    residual max norm met the requested tolerance; the spin solver takes
+    no tolerance, and reports converged for every multiplier it returns,
+    the float at which F first reaches the target.
+    """
+
+    multipliers: np.ndarray
+    log_partition: float
+    posterior: Any
+    residuals: np.ndarray
+    iterations: int
+    converged: bool
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(np.abs(self.residuals), initial=0.0))
 
 
 def logsumexp(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -74,7 +98,7 @@ def _newton_step(
             return float(r @ (v @ ((ut @ r) / sk)))
 
     step = -v @ ((ut @ grad) / sk)
-    if np.all(np.isfinite(step)) and 0 < -(grad @ step) < np.inf:
+    if 0 < -(grad @ step) < np.inf:
         return step, decrement, vt[~keep]
     return None, None, vt[~keep]
 

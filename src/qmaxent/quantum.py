@@ -9,16 +9,17 @@ covariance of the observables. Both are exact and come from the same
 eigendecomposition of C = ln phi + sum_i alpha_i A_i, which also gives
 rho and ln Z: a Newton step costs one Hermitian eigendecomposition per
 line-search trial and none besides. Its eigenvalues give the Gibbs
-weights and ln Z through the classical solver's logsumexp, so they sum to
-1 whatever ln Z is. At the start, alpha = 0, C is ln phi, whose spectrum
-the prior's decomposition at construction gives; the posterior comes
-from the last one of C, so a solve runs no other. The observables are
-read once per solve, into an (m, d^2) stack, so C and the m means are
-one matrix-vector product each and the Hessian is one Gram product of
-the rotated observables, centered and kernel-scaled. One bracket of
-Rayleigh quotients over all rows bounds each target's range for
-newton_dual, the Newton iteration the classical solver shares; it
-takes an eigenvalue solve only where a row's bracket cannot tell.
+weights and ln Z through qmaxent.dual's logsumexp, which the classical
+solver shares, so they sum to 1 whatever ln Z is. At the start,
+alpha = 0, C is ln phi, whose spectrum the prior's decomposition at
+construction gives; the posterior comes from the last one of C, so a
+solve runs no other. The observables are read once per solve, into an
+(m, d^2) stack, so C and the m means are one matrix-vector product each
+and the Hessian is one Gram product of the rotated observables,
+centered and kernel-scaled. One bracket of Rayleigh quotients over all
+rows bounds each target's range for newton_dual, the Newton iteration
+the classical solver shares; it takes an eigenvalue solve only where a
+row's bracket cannot tell.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, logsumexp, newton_dual
+from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, SolverReport, logsumexp, newton_dual
 from .errors import DomainError, ShapeError
 from .linalg import HermitianOperator, _spectral_matrix, single_blas_thread, trace_product
-from .report import SolverReport
 
 FULL_RANK_EIG = 1e-12
 PSD_EIG_TOL = -1e-12
@@ -215,7 +215,7 @@ def _gibbs_at(
     return _gibbs(*np.linalg.eigh(_exponent(_log(phi), _stack(observables, phi.dim), alphas)))
 
 
-def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
+def _bkm_covariance(state: _GibbsState, observables: np.ndarray) -> np.ndarray:
     """Hessian of ln Tr exp(C) in the multipliers, from the eigendecomposition of C.
 
     This is the Bogoliubov-Kubo-Mori covariance of the observables in the
@@ -227,10 +227,10 @@ def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
     which cannot overflow and tends to p_k as the gap closes, so equal
     and nearly equal eigenvalues need no cutoff.
 
-    observables is the (m, d^2) stack of the solver, or anything that
-    numpy reads as m d x d arrays. All B_i are rotated into one (m, d, d)
-    buffer and their diagonals centered by the means; as K_kk = p_k, that
-    buffer scaled by sqrt(K) >= 0 is a factor F with H = Re(F conj(F)^T).
+    observables is the (m, d^2) stack of the solver. All B_i are rotated
+    into one (m, d, d) buffer and their diagonals centered by the means;
+    as K_kk = p_k, that buffer scaled by sqrt(K) >= 0 is a factor F with
+    H = Re(F conj(F)^T).
     """
     vals, vecs, p = state.vals, state.vecs, state.p
     gap = np.abs(vals[:, None] - vals[None, :])
@@ -239,9 +239,8 @@ def _bkm_covariance(state: _GibbsState, observables) -> np.ndarray:
     ratio[closed] = 1.0
     kernel = np.maximum(p[:, None], p[None, :]) * ratio
     d = len(vals)
-    stacked = np.asarray(observables)
-    m = len(stacked)
-    rotated = (stacked.reshape(m * d, d) @ vecs).reshape(m, d, d)
+    m = len(observables)
+    rotated = (observables.reshape(m * d, d) @ vecs).reshape(m, d, d)
     vh = vecs.conj().T
     # slice by slice, so the rotation needs no second (m, d, d) array
     for b in rotated:

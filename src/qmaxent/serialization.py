@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .classical import ClassicalConstraint, ClassicalDistribution
+from .dual import SolverReport
 from .linalg import HermitianOperator
 from .quantum import DensityMatrix, QuantumConstraint
-from .report import SolverReport
 
 if TYPE_CHECKING:
     from .checks import PropertyResult

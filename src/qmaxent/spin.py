@@ -4,9 +4,9 @@ For a diagonal prior diag(a, b) and one observable
 A = c1*I + cx*sx + cy*sy + cz*sz, the exponent C = alpha*A + ln phi
 decomposes as lam*I + w.sigma with lam = alpha*c1 + (ln a + ln b)/2 and
 w = (alpha*cx, alpha*cy, alpha*cz + ln(a/b)/2). Every quantity follows
-from the posterior's Bloch vector r = tanh|w| w/|w|: the partition
-function 2 e^lam cosh|w|, the posterior (I + r.sigma)/2 and the
-constraint value
+from the posterior's Bloch vector r = tanh|w| w/|w|: the log-partition
+function ln Z = lam + ln(2 cosh|w|), the posterior (I + r.sigma)/2 and
+the constraint value
 
     F(alpha) = c1 + |c| g,  g = (c/|c|).r in [-1, 1]
 
@@ -21,13 +21,12 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .dual import SolverReport
 from .errors import DomainError, InfeasibleTargetError
 from .quantum import DensityMatrix, _relative_entropy_to_log
-from .report import SolverReport
 
 # |ln a - ln b| < 1455 for positive floats, so beyond |u| = 2^40 the unit
 # observable's value is within 3e-19 of -1 or 1, below its rounding: this
@@ -70,61 +69,35 @@ def _float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -(2**63) - key))[0]
 
 
-def _bloch(p: SpinProblem) -> Callable[[float], tuple[list[float], float]]:
-    """alpha -> (r, |w|): the posterior's Bloch vector r = tanh|w| w/|w| and |w|.
+def _bloch(p: SpinProblem, alpha: float) -> tuple[list[float], float]:
+    """The posterior's Bloch vector r = tanh|w| w/|w| and |w| at alpha.
 
-    ln(a/b)/2 is taken once, from the two logs: a / b can leave the float range.
+    ln(a/b)/2 is taken from the two logs: a / b can leave the float range.
     """
-    shift = 0.5 * (math.log(p.a) - math.log(p.b))
-
-    def at(alpha: float) -> tuple[list[float], float]:
-        w = [alpha * p.cx, alpha * p.cy, alpha * p.cz + shift]
-        half_gap = math.hypot(*w)
-        t = _tanh_over(half_gap)
-        return [t * x for x in w], half_gap
-
-    return at
-
-
-def spin_partition(p: SpinProblem, alpha: float) -> float:
-    """Z(alpha) = Tr exp(alpha*A + ln phi) = 2 e^lam cosh|w|.
-
-    Taken as exp(ln Z), so it is inf where Z exceeds the float range.
-    """
-    try:
-        return math.exp(_log_partition(p, alpha))
-    except OverflowError:
-        return math.inf
+    w = [alpha * p.cx, alpha * p.cy, alpha * p.cz + 0.5 * (math.log(p.a) - math.log(p.b))]
+    half_gap = math.hypot(*w)
+    t = _tanh_over(half_gap)
+    return [t * x for x in w], half_gap
 
 
 def _log_partition(p: SpinProblem, alpha: float) -> float:
-    _, half_gap = _bloch(p)(alpha)
+    """ln Z(alpha) = ln Tr exp(alpha*A + ln phi) = lam + ln(2 cosh|w|), finite where Z overflows."""
+    _, half_gap = _bloch(p, alpha)
     lam = alpha * p.c1 + 0.5 * (math.log(p.a) + math.log(p.b))
     return lam + half_gap + math.log1p(math.exp(-2.0 * half_gap))
 
 
 def spin_constraint_value(p: SpinProblem, alpha: float) -> float:
     """F(alpha) = Tr(rho(alpha) A) = c1 + |c| g = d/dalpha ln Z, finite where c1 +- |c| are."""
-    return _constraint(p)(alpha)
-
-
-def _constraint(p: SpinProblem) -> Callable[[float], float]:
-    """alpha -> spin_constraint_value(p, alpha), with |c|, c/|c| and ln(a/b)/2 taken once."""
     amp = math.hypot(p.cx, p.cy, p.cz) or 1.0
-    ux, uy, uz = p.cx / amp, p.cy / amp, p.cz / amp
-    bloch = _bloch(p)
-
-    def value(alpha: float) -> float:
-        r, _ = bloch(alpha)
-        g = ux * r[0] + uy * r[1] + uz * r[2]
-        return p.c1 + amp * max(-1.0, min(1.0, g))
-
-    return value
+    r, _ = _bloch(p, alpha)
+    g = p.cx / amp * r[0] + p.cy / amp * r[1] + p.cz / amp * r[2]
+    return p.c1 + amp * max(-1.0, min(1.0, g))
 
 
 def spin_posterior(p: SpinProblem, alpha: float) -> DensityMatrix:
     """Posterior (I + r.sigma)/2, no eigensolver."""
-    (rx, ry, rz), _ = _bloch(p)(alpha)
+    (rx, ry, rz), _ = _bloch(p, alpha)
     rho = 0.5 * np.array(
         [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
     )
@@ -172,11 +145,11 @@ def solve_spin(p: SpinProblem) -> SolverReport:
         raise InfeasibleTargetError(
             f"constraint value is constant {p.c1!r}; target {p.target!r} unreachable"
         )
-    g = _constraint(SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0))
+    unit = SpinProblem(p.a, p.b, 0.0, p.cx / amp, p.cy / amp, p.cz / amp, 0.0)
     s = (p.target - p.c1) / amp
     hi = struct.unpack("<q", struct.pack("<d", U_BRACKET))[0]
     lo = -hi
-    g_lo, g_hi = g(-U_BRACKET), g(U_BRACKET)
+    g_lo, g_hi = spin_constraint_value(unit, -U_BRACKET), spin_constraint_value(unit, U_BRACKET)
     if not g_lo < s < g_hi:
         raise InfeasibleTargetError(
             f"target {p.target!r} is not strictly inside "
@@ -186,7 +159,7 @@ def solve_spin(p: SpinProblem) -> SolverReport:
     while hi - lo > 1:
         steps += 1
         mid = (lo + hi) // 2
-        if g(_float(mid)) < s:
+        if spin_constraint_value(unit, _float(mid)) < s:
             lo = mid
         else:
             hi = mid

@@ -108,6 +108,12 @@ class TestClassicalDistribution:
         with pytest.raises(DomainError, match="weights must be finite"):
             ClassicalDistribution([1.0, bad])
 
+    def test_total_errstate_gives_inf_without_a_warning(self):
+        # a bare sum warns "overflow encountered in reduce"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ClassicalDistribution([1e308, 1e308]).total == np.inf
+
     def test_weights_summing_beyond_the_float_range_are_normalized_by_the_solve(self):
         # the plain sum is inf: a normalization that divides by it warns
         # and raises "total weight must be positive"

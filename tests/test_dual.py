@@ -161,6 +161,24 @@ def test_zero_max_iter_takes_no_step():
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_stop_rule_ge_a_start_residual_equal_to_tol_is_converged(mode):
+    # the loop runs while max |grad| > tol: a residual of exactly tol at
+    # alpha = 0 meets it, so the solve takes no step
+    if mode == "classical":
+        report = solve_classical(
+            ClassicalDistribution([1.0, 1.0]), [ClassicalConstraint([0.0, 1.0], 0.25)], tol=0.25
+        )
+    else:
+        report = solve_quantum(
+            DensityMatrix(np.eye(2) / 2),
+            [QuantumConstraint(HermitianOperator(PAULI_Z), 0.25)], tol=0.25,
+        )
+    assert report.converged
+    assert report.iterations == 0
+    assert abs(report.residuals[0]) == 0.25
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_targets_on_a_face_stop_where_no_step_descends(mode):
     # t = (5e5, 5e5) puts all the weight on the first two of three states,
     # a face of the reachable set that no finite alpha reaches. After 27

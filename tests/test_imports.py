@@ -67,8 +67,8 @@ class TestLazyPackage:
 
     @pytest.mark.parametrize(
         "name",
-        ["checks", "classical", "cli", "dual", "errors", "linalg", "quantum", "report",
-         "serialization", "spin"],
+        ["checks", "classical", "cli", "dual", "errors", "linalg", "quantum", "serialization",
+         "spin"],
     )
     def test_each_submodule_is_an_attribute(self, name):
         module = getattr(qmaxent, name)

@@ -7,6 +7,8 @@ from qmaxent.classical import ClassicalConstraint, ClassicalDistribution, relati
 from qmaxent.errors import DomainError, InfeasibleTargetError, ShapeError
 from qmaxent.linalg import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z, matrix_exp
 from qmaxent.quantum import (
+    FULL_RANK_EIG,
+    PSD_EIG_TOL,
     DensityMatrix,
     QuantumConstraint,
     expectation,
@@ -77,6 +79,16 @@ class TestDensityMatrix:
     def test_rejects_zero_trace(self, dim):
         with pytest.raises(DomainError, match="trace must be positive"):
             DensityMatrix(np.zeros((dim, dim)))
+
+    def test_psd_boundary_smallest_eigenvalue_at_the_threshold_is_accepted(self):
+        # diag(c, 1 - c) has trace 1 and smallest eigenvalue c exactly
+        state = DensityMatrix(np.diag([PSD_EIG_TOL, 1.0 - PSD_EIG_TOL]))
+        assert state.eigenvalues[0] == PSD_EIG_TOL * state.trace
+
+    def test_full_rank_boundary_smallest_eigenvalue_at_the_threshold_is_not_full_rank(self):
+        state = DensityMatrix(np.diag([FULL_RANK_EIG, 1.0 - FULL_RANK_EIG]))
+        assert state.eigenvalues[0] == FULL_RANK_EIG * state.trace
+        assert not state.is_full_rank()
 
     def test_full_rank_detection(self):
         assert DensityMatrix(np.eye(2) / 2).is_full_rank()

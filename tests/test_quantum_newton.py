@@ -36,7 +36,7 @@ def gibbs_prior(rng, dim):
 
 
 def exact_hessian(prior, observables, alpha):
-    return _bkm_covariance(_gibbs_at(prior, observables, alpha), [o.matrix for o in observables])
+    return _bkm_covariance(_gibbs_at(prior, observables, alpha), _stack(observables, prior.dim))
 
 
 def fd_hessian(prior, observables, alpha, h=1e-5):

@@ -6,8 +6,8 @@ import pytest
 
 from qmaxent.checks import PropertyResult
 from qmaxent.classical import ClassicalDistribution
+from qmaxent.dual import SolverReport
 from qmaxent.quantum import DensityMatrix
-from qmaxent.report import SolverReport
 from qmaxent.serialization import (
     ProblemFormatError,
     canonical_dumps,

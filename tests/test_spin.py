@@ -17,10 +17,10 @@ from qmaxent.quantum import (
 )
 from qmaxent.spin import (
     SpinProblem,
+    _log_partition,
     _tanh_over,
     solve_spin,
     spin_constraint_value,
-    spin_partition,
     spin_posterior,
     spin_relative_entropy,
 )
@@ -85,20 +85,22 @@ class TestTanhOver:
         assert _tanh_over(5e-324) == 1.0
 
 
-class TestSpinPartition:
+class TestLogPartition:
     def test_normalized_prior_zero_multiplier(self):
         p = SpinProblem(a=0.3, b=0.7, c1=0, cx=0, cy=0, cz=1, target=0.0)
-        assert spin_partition(p, 0.0) == pytest.approx(1.0)
+        assert _log_partition(p, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_unnormalized_prior(self):
         p = SpinProblem(a=1.2, b=0.5, c1=0, cx=1, cy=0, cz=0, target=0.0)
-        assert spin_partition(p, 0.0) == pytest.approx(1.7)
+        assert _log_partition(p, 0.0) == pytest.approx(math.log(1.7), rel=1e-15)
 
-    def test_beyond_float_range_is_inf_not_overflow_error(self):
-        # ln Z ~ 4401.5 here; 2 e^lam cosh|w| used to raise OverflowError
+    def test_finite_where_the_partition_function_overflows(self):
+        # ln Z ~ 4401.5 here, where 2 e^lam cosh|w| overflows
         p = SpinProblem(0.5, 0.5, 2000, 0, 0, 1, 2000.9)
-        assert spin_partition(p, 2.2) == math.inf
-        assert spin_partition(p, 0.3) == pytest.approx(math.exp(600.0) * math.cosh(0.3), rel=1e-12)
+        assert _log_partition(p, 2.2) == pytest.approx(
+            2.2 * 2000 + math.log(0.5) + 2.2 + math.log1p(math.exp(-4.4)), rel=1e-15
+        )
+        assert _log_partition(p, 0.3) == pytest.approx(600.0 + math.log(math.cosh(0.3)), rel=1e-15)
 
     def test_matches_trace_of_exponential(self):
         rng = np.random.default_rng(52)
@@ -106,7 +108,7 @@ class TestSpinPartition:
             p = random_problem(rng)
             alpha = float(rng.normal())
             direct = np.trace(matrix_exp(exponent_operator(p, alpha)).matrix).real
-            assert spin_partition(p, alpha) == pytest.approx(direct, rel=1e-10)
+            assert _log_partition(p, alpha) == pytest.approx(math.log(direct), abs=1e-10)
 
 
 class TestSpinConstraintValue:
@@ -396,6 +398,6 @@ class TestSolveSpin:
             prior = DensityMatrix(np.diag([p.a, p.b]).astype(complex))
             obs = HermitianOperator(observable_matrix(p))
             # log_partition requires a full-rank prior but not normalization
-            assert math.log(spin_partition(p, alpha)) == pytest.approx(
+            assert _log_partition(p, alpha) == pytest.approx(
                 log_partition(prior, [obs], [alpha]), abs=1e-10
             )

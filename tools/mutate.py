@@ -3,10 +3,12 @@
 Each mutant is a (name, file, old, new) edit; old must occur exactly once
 in the file. Every mutant is applied, one at a time, to its own copy of
 the repository in a temporary directory, and the test suite is run there
-with `python -m pytest -x -q -p no:cacheprovider` and PYTHONPATH=src. A
-mutant is killed when the run fails; the first failing test is printed
-with it. A survivor is either a rule no test pins or an edit that cannot
-change any output (an equivalent mutant).
+with `python -m pytest -x -q -p no:cacheprovider` and PYTHONPATH=src,
+leaving out tests/test_tools.py: it checks that each old text is in the
+source, which every mutant removes. A mutant is killed when the run
+fails; the first failing test is printed with it. A survivor is either
+a rule no test pins or an edit that cannot change any output (an
+equivalent mutant).
 
     python tools/mutate.py            # every mutant
     python tools/mutate.py NAME ...   # only the named ones
@@ -83,6 +85,31 @@ MUTANTS = [
         "if p.c1 == p.target:",
         "if abs(p.c1 - p.target) <= 1e-12:",
     ),
+    (
+        "stop-rule-ge",
+        "src/qmaxent/dual.py",
+        "    while float(np.max(np.abs(grad), initial=0.0)) > tol:\n",
+        "    while float(np.max(np.abs(grad), initial=0.0)) >= tol:\n",
+    ),
+    (
+        "total-errstate",
+        "src/qmaxent/classical.py",
+        "        with np.errstate(over=\"ignore\"):\n"
+        "            return float(self.weights.sum())\n",
+        "        return float(self.weights.sum())\n",
+    ),
+    (
+        "psd-boundary",
+        "src/qmaxent/quantum.py",
+        "if not eigenvalues[0] >= PSD_EIG_TOL * trace:",
+        "if not eigenvalues[0] > PSD_EIG_TOL * trace:",
+    ),
+    (
+        "full-rank-boundary",
+        "src/qmaxent/quantum.py",
+        "return float(self.eigenvalues[0]) > FULL_RANK_EIG * self.trace",
+        "return float(self.eigenvalues[0]) >= FULL_RANK_EIG * self.trace",
+    ),
     # survives: no input is known where the smaller slack is unsound
     (
         "bracket-slack-dim",
@@ -104,6 +131,35 @@ MUTANTS = [
         "src/qmaxent/cli.py",
         "except (DomainError, ShapeError, np.linalg.LinAlgError) as exc:",
         "except (DomainError, ShapeError) as exc:",
+    ),
+    # these three survive: each differs only where a residual along a null
+    # direction, a candidate's -d.grad or a scaled spectrum equals its
+    # bound exactly, which no known input hits
+    (
+        "early-trigger-ge",
+        "src/qmaxent/dual.py",
+        "if np.any(np.abs(null @ grad) > tol):",
+        "if np.any(np.abs(null @ grad) >= tol):",
+    ),
+    (
+        "certify-skip-lt",
+        "src/qmaxent/dual.py",
+        "if -(d @ grad) <= margin:",
+        "if -(d @ grad) < margin:",
+    ),
+    (
+        "float-range-gt",
+        "src/qmaxent/quantum.py",
+        "if spec > np.finfo(float).max / big:",
+        "if spec >= np.finfo(float).max / big:",
+    ),
+    # survives: the factor 2 is a rounding margin on the bracket's bound
+    # of the spectrum, and no known input falls between max/(2d) and max/d
+    (
+        "float-range-trigger-dim",
+        "src/qmaxent/quantum.py",
+        "np.finfo(float).max / (2 * dim)",
+        "np.finfo(float).max / dim",
     ),
     # the three fast paths survive as equivalent mutants: each skips work
     # whose result the general path computes to the same bytes
@@ -131,6 +187,10 @@ EXPECTED_SURVIVORS = {
     "bracket-slack-dim",
     "line-search-strict",
     "cli-linalgerror",
+    "early-trigger-ge",
+    "certify-skip-lt",
+    "float-range-gt",
+    "float-range-trigger-dim",
     "matrix-pair-fast-path",
     "vector-float-fast-path",
     "float-lines-fast-path",
@@ -162,7 +222,8 @@ def run(name: str, path: str, old: str, new: str) -> tuple[bool, str]:
         target.write_text(text.replace(old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--ignore=tests/test_tools.py"],
             cwd=tree, env=env, capture_output=True, text=True,
         )
     if done.returncode == 0:

@@ -104,18 +104,29 @@ def _newton_step(
 
 
 def _trial_scales(step: np.ndarray, spectrum: Callable[[np.ndarray], np.ndarray]) -> Iterator[float]:
-    """STEP_SCALES, then, once all fail, STEP_SCALES * ln(1 + W) / W if 0 < W < inf.
+    """STEP_SCALES, then, once all fail, the positive ones of STEP_SCALES * ln(1 + W) / W.
 
     The step moves the exponent over a range W, spectrum(step)'s, so the
-    damped one moves no weight by more than a factor 1 + W.
+    damped one moves no weight by more than a factor 1 + W. W is taken as
+    max|step| times the range of spectrum(step / max|step|), a range that
+    must be positive and finite for a damped trial. Where W itself passes
+    the float range, ln(1 + W) / W is formed from ln W, which does not.
     """
     yield from STEP_SCALES
-    # a step whose spectrum overflows gives W = inf, so no damped trial
+    big = float(np.max(np.abs(step)))
+    # a unit step whose spectrum overflows gives an infinite range, so no damped trial
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = spectrum(step)
+        spec = spectrum(step / big)
         width = float(spec.max() - spec.min())
     if 0 < width < math.inf:
-        yield from STEP_SCALES * (math.log1p(width) / width)
+        total = big * width
+        if total < math.inf:
+            damp = math.log1p(total) / total
+        else:
+            damp = (math.log(big) + math.log(width)) / big / width
+        scales = STEP_SCALES * damp
+        # scales that underflow to 0 would retry alpha itself
+        yield from scales[scales > 0]
 
 
 def newton_dual(

@@ -210,6 +210,7 @@ class TestRelativeEntropy:
 
 
 class TestSolveClassical:
+    @pytest.mark.usefixtures("classical_path")
     @pytest.mark.parametrize("weights", [[0.2, 0.3, 0.5], [1.0, 3.0, 7.5]])
     def test_no_constraints_returns_the_normalized_prior(self, weights):
         # the driver's start state: the Gibbs state of ln phi and its ln Z
@@ -241,16 +242,19 @@ class TestSolveClassical:
         assert report.multipliers[0] == pytest.approx(bisect_oracle(2.5), abs=1e-10)
         assert report.posterior.weights @ np.array([1.0, 2.0, 3.0]) == pytest.approx(2.5, abs=1e-10)
 
+    @pytest.mark.usefixtures("classical_path")
     def test_target_outside_hull(self):
         prior = ClassicalDistribution([1 / 3, 1 / 3, 1 / 3])
         with pytest.raises(InfeasibleTargetError):
             solve_classical(prior, [ClassicalConstraint([1.0, 2.0, 3.0], 4.0)])
 
+    @pytest.mark.usefixtures("classical_path")
     def test_boundary_target_rejected(self):
         prior = ClassicalDistribution([1 / 3, 1 / 3, 1 / 3])
         with pytest.raises(InfeasibleTargetError):
             solve_classical(prior, [ClassicalConstraint([1.0, 2.0, 3.0], 3.0)])
 
+    @pytest.mark.usefixtures("classical_path")
     def test_constant_observable_rejected(self):
         prior = ClassicalDistribution([0.5, 0.5])
         with pytest.raises(InfeasibleTargetError):
@@ -262,17 +266,19 @@ class TestSolveClassical:
                 ClassicalDistribution([0.0, 1.0]), [ClassicalConstraint([0.0, 1.0], 0.9)]
             )
 
+    @pytest.mark.usefixtures("classical_path")
     def test_constraint_length_mismatch(self):
         with pytest.raises(ShapeError):
             solve_classical(
                 ClassicalDistribution([0.5, 0.5]), [ClassicalConstraint([1.0, 2.0, 3.0], 2.0)]
             )
 
+    @pytest.mark.usefixtures("classical_path")
     @pytest.mark.parametrize("written_after", [False, True], ids=["given", "written-after"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_is_rejected_by_the_solve(self, bad, written_after):
         # the constraint is a view of arr, so it checks no values: the solve
-        # checks the ones it copies, given at construction or written after
+        # checks the ones it reads, given at construction or written after
         arr = np.array([1.0, 2.0, 3.0])
         if not written_after:
             arr[1] = bad
@@ -312,6 +318,7 @@ class TestSolveClassical:
         # its own array, not a view of another
         assert weights.base is None
 
+    @pytest.mark.usefixtures("classical_path")
     def test_range_is_taken_from_the_values_at_solve_time(self):
         arr = np.array([1.0, 2.0, 3.0])
         c = ClassicalConstraint(arr, 2.5)
@@ -322,6 +329,7 @@ class TestSolveClassical:
         with pytest.raises(InfeasibleTargetError, match=message):
             solve_classical(ClassicalDistribution([1.0, 1.0, 1.0]), [c])
 
+    @pytest.mark.usefixtures("classical_path")
     def test_later_rows_values_are_checked_before_an_earlier_rows_range(self):
         # constraint 0's target lies outside its range, but every row's
         # values are checked first, so constraint 1's NaN is reported
@@ -450,9 +458,11 @@ class TestSolveClassical:
         assert float(a @ report.posterior.weights) == pytest.approx(target, abs=1e-9)
 
 
+@pytest.mark.usefixtures("classical_path")
 def test_evaluate_errstate_silences_an_overflowing_matmul():
     # a trial alpha for this tiny prior weight overflows a^T alpha; without
-    # evaluate's errstate numpy warns "overflow encountered in matmul"
+    # evaluate's errstate numpy warns "overflow encountered in matmul", or
+    # in multiply where the rows are read in place
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = solve_classical(
@@ -464,6 +474,7 @@ def test_evaluate_errstate_silences_an_overflowing_matmul():
 class TestDependencyCertificate:
     """Targets that contradict an exact linear dependency among the observables."""
 
+    @pytest.mark.usefixtures("classical_path")
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_duplicated_observable_with_conflicting_targets_is_infeasible(self, scale):
         # values [-1, 1] with targets 0.3 and 0.5: the parent stalled at
@@ -474,6 +485,7 @@ class TestDependencyCertificate:
         with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_classical(prior, cons)
 
+    @pytest.mark.usefixtures("classical_path")
     def test_combination_with_constant_shift(self):
         # A_3 = A_1 + 2 A_2 + 1 forces <A_3> = 1.5 + 2 * 0.5 + 1 = 3.5, not 3.6
         prior = ClassicalDistribution([0.1, 0.2, 0.3, 0.4])
@@ -487,6 +499,7 @@ class TestDependencyCertificate:
         with pytest.raises(InfeasibleTargetError, match="Farkas certificate"):
             solve_classical(prior, cons)
 
+    @pytest.mark.usefixtures("classical_path")
     def test_consistent_duplicate_still_converges(self):
         prior = ClassicalDistribution([0.5, 0.5])
         cons = [ClassicalConstraint([-1.0, 1.0], 0.3) for _ in range(2)]
@@ -696,6 +709,7 @@ class TestNewtonDriverRegressions:
         assert abs(report.multipliers[0] - ALPHA_UNIFORM_123) <= 1e-10
         assert abs(float(report.posterior.weights.sum()) - 1.0) <= 4 * np.finfo(float).eps
 
+    @pytest.mark.usefixtures("classical_path")
     def test_nan_tol_is_rejected_not_reported_unconverged(self):
         # max|grad| > nan is False, so the iteration never started and the
         # report said converged=False after 0 iterations
@@ -752,6 +766,92 @@ def test_constraints_and_solve_together_stay_within_one_and_three_quarter_blocks
         tracemalloc.stop()
     assert report.converged
     assert peak <= 1.75 * a.nbytes
+
+
+def _planted(n, m, seed):
+    """A prior on n states, m normal rows and their targets at normal multipliers beta."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(0.5 * rng.normal(size=n))
+    a = rng.normal(size=(m, n))
+    beta = rng.normal(scale=0.3, size=m)
+    ln_w = np.log(w) + a.T @ beta
+    rho = np.exp(ln_w - ln_w.max())
+    rho /= rho.sum()
+    return w, a, beta, a @ rho
+
+
+def test_streamed_solve_peaks_below_one_stacked_block(monkeypatch):
+    # ln phi, one Gibbs weight vector and the trial exponent (three eighths
+    # of a block at m = 8), plus one scratch slice and the covariance's
+    # (m, cols) buffer; the rows are read in place, not stacked
+    monkeypatch.setattr(classical, "STACK_BYTES", 0)
+    n, m = 200_000, 8
+    w, a, _, targets = _planted(n, m, seed=7)
+    cons = [ClassicalConstraint(a[j], float(targets[j])) for j in range(m)]
+    tracemalloc.start()
+    try:
+        report = solve_classical(ClassicalDistribution(w), cons)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < a.nbytes
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 1), (7, 3), (1000, 16), (2 * classical.SLICE_COLS + 5, 4), (70_000, 13)]
+)
+def test_streamed_and_stacked_solves_agree_on_planted_problems(n, m, monkeypatch):
+    # the streamed path adds its sums up in another order, so the two
+    # agree to rounding, not to the bit, and take the same Newton steps
+    w, a, beta, targets = _planted(n, m, seed=n + m)
+    cons = [ClassicalConstraint(a[j], float(targets[j])) for j in range(m)]
+    stacked = solve_classical(ClassicalDistribution(w), cons)
+    monkeypatch.setattr(classical, "STACK_BYTES", -1)
+    streamed = solve_classical(ClassicalDistribution(w), cons)
+    assert stacked.converged and streamed.converged
+    assert streamed.iterations == stacked.iterations
+    np.testing.assert_allclose(stacked.multipliers, beta, rtol=0, atol=1e-8)
+    bound = 1e-12 * (1 + float(np.max(np.abs(beta))))
+    assert float(np.max(np.abs(streamed.multipliers - stacked.multipliers))) <= bound
+    assert streamed.log_partition == pytest.approx(stacked.log_partition, rel=1e-13, abs=1e-13)
+    np.testing.assert_allclose(streamed.posterior.weights, stacked.posterior.weights,
+                               rtol=1e-11, atol=0)
+
+
+@pytest.mark.usefixtures("classical_path")
+def test_strided_rows_solve_as_their_contiguous_copies():
+    # each constraint is a column of an (n, m) array, a view whose values
+    # are 8 m bytes apart, which the streamed path reads in place
+    n, m = 2 * classical.SLICE_COLS + 5, 3
+    w, a, beta, targets = _planted(n, m, seed=4)
+    columns = np.ascontiguousarray(a.T)
+    strided = solve_classical(
+        ClassicalDistribution(w), [ClassicalConstraint(columns[:, j], targets[j]) for j in range(m)]
+    )
+    contiguous = solve_classical(
+        ClassicalDistribution(w), [ClassicalConstraint(a[j], targets[j]) for j in range(m)]
+    )
+    assert strided.converged and contiguous.converged
+    assert strided.iterations == contiguous.iterations
+    np.testing.assert_allclose(strided.multipliers, contiguous.multipliers, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(strided.multipliers, beta, rtol=0, atol=1e-8)
+
+
+def test_stack_budget_le_a_block_of_exactly_the_budget_is_stacked(monkeypatch):
+    # a block of STACK_BYTES is stacked and one byte less of budget streams
+    # it; the streamed path alone takes the means by _row_dots
+    calls = []
+    row_dots = classical._row_dots
+    monkeypatch.setattr(classical, "_row_dots", lambda *args: calls.append(1) or row_dots(*args))
+    n, m = 100, 3
+    w, a, _, targets = _planted(n, m, seed=2)
+    cons = [ClassicalConstraint(a[j], float(targets[j])) for j in range(m)]
+    for budget, streamed in ((8 * m * n, False), (8 * m * n - 1, True)):
+        calls.clear()
+        monkeypatch.setattr(classical, "STACK_BYTES", budget)
+        assert solve_classical(ClassicalDistribution(w), cons).converged
+        assert bool(calls) == streamed
 
 
 @pytest.mark.parametrize("m", [1, 2, 8])

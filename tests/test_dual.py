@@ -296,6 +296,22 @@ def test_prior_weights_from_1e_13_to_1e_300_on_a_needed_state_are_solved():
             assert report.multipliers[0] == pytest.approx(k * np.log(10), rel=1e-12), k
 
 
+@pytest.mark.usefixtures("classical_path")
+def test_damped_trial_whose_width_passes_the_float_range_is_solved():
+    # prior (1, 1e-312), row (0, 100), target 0.5: the Newton step is 5e307
+    # and its W = 5e309 passes the float range, so no damped trial ran and
+    # the solve exited 3 after 0 iterations; ln(1 + W) / W from ln W
+    # damps the step to about 7.13, next to alpha; that no trial warns is
+    # test_evaluate_errstate_silences_an_overflowing_matmul's
+    report = solve_classical(
+        ClassicalDistribution([1.0, 1e-312]), [ClassicalConstraint([0.0, 100.0], 0.5)]
+    )
+    assert report.converged
+    assert report.iterations == 3
+    expected = (np.log(0.005 / 0.995) - np.log(1e-312)) / 100
+    assert report.multipliers[0] == pytest.approx(expected, rel=1e-12)
+
+
 class TestLineSearchRounding:
     """The line search reads the gradient alone, so a rounded ln Z cannot stall it.
 

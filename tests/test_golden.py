@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmaxent import cli
+from qmaxent import classical, cli
 
 DATA = Path(__file__).resolve().parent / "data"
 PROBLEMS = sorted(p.name.removesuffix(".problem.json") for p in DATA.glob("*.problem.json"))
@@ -35,3 +35,15 @@ def test_update_output_is_byte_identical(name, tmp_path, monkeypatch, capsys):
         assert out.read_bytes() == expected.read_bytes()
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [p for p in PROBLEMS if p.startswith("classical")])
+def test_streamed_classical_update_keeps_the_exit_code_and_message(
+        name, tmp_path, monkeypatch, capsys):
+    # every block streamed: its sums are added up in another order, so the
+    # report may move in its last bits, but not the exit code or stderr
+    monkeypatch.setattr(classical, "STACK_BYTES", -1)
+    monkeypatch.chdir(DATA)
+    code = cli.main(["update", f"{name}.problem.json", "--out", str(tmp_path / "report.json")])
+    assert code == int((DATA / f"{name}.exit").read_text())
+    assert capsys.readouterr().err == (DATA / f"{name}.stderr").read_text(encoding="utf-8")

@@ -355,10 +355,12 @@ class TestSingleBlasThread:
         assert seen and set(seen) == {1}
         assert threads() == 3
 
+    @pytest.mark.usefixtures("classical_path")
     def test_threaded_gemv_no_longer_moves_the_last_bits_of_classical_results(self, threads):
         # at 3 threads OpenBLAS split the 13 rows of a @ rho into uneven
         # shares, which it summed in another order than one thread: the
-        # multipliers and posterior weights moved by about 1e-16
+        # multipliers and posterior weights moved by about 1e-16; the
+        # streamed path's row dots run on the one thread too
         prior, constraints = _planted_classical_problem(150_000, 13)
         reports = []
         for count in (1, 3):

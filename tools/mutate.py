@@ -42,12 +42,26 @@ MUTANTS = [
         "evaluate-errstate",
         "src/qmaxent/classical.py",
         "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
-        "            ln_w = a.T @ alpha\n"
+        "            ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)\n"
         "            ln_w += ln_phi\n"
         "            return point(ln_w)\n",
-        "        ln_w = a.T @ alpha\n"
+        "        ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)\n"
         "        ln_w += ln_phi\n"
         "        return point(ln_w)\n",
+    ),
+    # the streamed exponent shares evaluate's errstate; this mutant warns
+    # again on that path alone
+    (
+        "streamed-evaluate-errstate",
+        "src/qmaxent/classical.py",
+        "ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)",
+        "ln_w = a.T @ alpha if stacked else np.errstate(over=\"warn\")(_row_sum)(a, alpha)",
+    ),
+    (
+        "stack-budget-le",
+        "src/qmaxent/classical.py",
+        "stacked = 8 * m * n <= STACK_BYTES",
+        "stacked = 8 * m * n < STACK_BYTES",
     ),
     (
         "entropy-log-difference",
@@ -58,7 +72,7 @@ MUTANTS = [
     (
         "damped-trial",
         "src/qmaxent/dual.py",
-        "        yield from STEP_SCALES * (math.log1p(width) / width)\n",
+        "        yield from scales[scales > 0]\n",
         "        return\n",
     ),
     (
@@ -110,7 +124,11 @@ MUTANTS = [
         "return float(self.eigenvalues[0]) > FULL_RANK_EIG * self.trace",
         "return float(self.eigenvalues[0]) >= FULL_RANK_EIG * self.trace",
     ),
-    # survives: no input is known where the smaller slack is unsound
+    # survives: a search of 13.1 million targets at k eps max|A| of either
+    # computed spectral edge, k = -4d^2 .. 4d^2, on 1200 matrices of dim
+    # 2-64 with clustered edge eigenvalues found no target whose range
+    # verdict the smaller slack changes; the bracket's quotients passed
+    # eigvalsh's edge by at most 10.8 eps max|A| (dim 64), under 4 d eps
     (
         "bracket-slack-dim",
         "src/qmaxent/quantum.py",

@@ -37,8 +37,6 @@ _HOME = {
     "check_zero_multiplier": "checks",
     "expectation": "quantum",
     "log_partition": "quantum",
-    "matrix_exp": "linalg",
-    "matrix_log": "linalg",
     "posterior_from_multipliers": "quantum",
     "quantum_relative_entropy": "quantum",
     "random_classical_prior": "checks",

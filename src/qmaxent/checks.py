@@ -17,7 +17,7 @@ import numpy as np
 from .classical import ClassicalConstraint, ClassicalDistribution, relative_entropy, solve_classical
 from .dual import logsumexp
 from .errors import DomainError, ShapeError
-from .linalg import HermitianOperator, matrix_exp
+from .linalg import HermitianOperator, _spectral_matrix, single_blas_thread
 from .quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -227,13 +227,15 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     return HermitianOperator((g + g.conj().T) / 2.0)
 
 
+@single_blas_thread()
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Normalized exp of a random Hermitian matrix; full rank up to dim 40.
 
     Its smallest weight falls like exp(-4 sqrt(dim)): of 20 draws from
     default_rng(0), is_full_rank() failed 1 at dim 48 and all from dim 56.
     """
-    rho = matrix_exp(random_hermitian(rng, dim)).matrix
+    vals, vecs = np.linalg.eigh(random_hermitian(rng, dim).matrix)
+    rho = _spectral_matrix(vecs, np.exp(vals))
     return DensityMatrix(rho / np.trace(rho).real)
 
 

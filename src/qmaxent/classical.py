@@ -41,17 +41,16 @@ from .dual import DEFAULT_MAX_ITER, DEFAULT_TOL, SolverReport, logsumexp, newton
 from .errors import DomainError, ShapeError, SupportViolationError
 from .linalg import single_blas_thread
 
-# bytes of the (m, cols) buffer the covariance is added up in, sized to
-# stay in a per-core cache
+# bytes of the (m, cols) buffer the covariance is added up in, and of
+# one slice of a length-n vector, sized to stay in a per-core cache
 BLOCK_BYTES = 1 << 19
 # the largest m x n constraint block, in bytes, that a solve stacks. At
 # m = 16 a stacked block, one GEMV per product, solves up to 15% faster
 # than row slices for n = 2e5 to 2.5e5, as fast for n = 5e5 to 1e6 and
 # 10% faster for n = 2e6, where its copy doubles the caller's 256 MB
 STACK_BYTES = 1 << 26
-# columns per slice of a solve that reads the rows in place: one slice
-# of a length-n vector is 512 KiB, which stays in a per-core cache
-SLICE_COLS = 1 << 16
+# columns per slice of a solve that reads the rows in place
+SLICE_COLS = BLOCK_BYTES // 8
 
 
 def _finite_range(arr: np.ndarray, what: str) -> tuple[float, float]:
@@ -279,19 +278,22 @@ def solve_classical(
         means = a @ rho if stacked else _row_dots(a, rho)
         return (rho, means), ln_z, means - t
 
+    # sum_k c_k a_k as a new length-n vector: a^T alpha, to which evaluate
+    # adds ln phi, and spectrum(d), the values of sum_k d_k A_k on the states
+    combine = (lambda c: a.T @ c) if stacked else (lambda c: _row_sum(a, c))
+
     def evaluate(alpha: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float, np.ndarray]:
         # jointly infeasible targets drive alpha far out, where a^T alpha
         # and ln Z overflow; newton_dual rejects a trial whose gradient
         # is not finite, and an exponent of -inf only makes a weight 0,
         # so that overflow is no error
         with np.errstate(over="ignore", invalid="ignore"):
-            ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)
+            ln_w = combine(alpha)
             ln_w += ln_phi
             return point(ln_w)
 
     return newton_dual(
         lambda: point(ln_phi.copy()), t, bounds, evaluate,
-        lambda state: _covariance(a, *state),
-        (lambda d: d @ a) if stacked else (lambda d: _row_sum(a, d)),
+        lambda state: _covariance(a, *state), combine,
         lambda state: ClassicalDistribution._from_weights(state[0]), tol, max_iter,
     )

@@ -83,22 +83,30 @@ def _newton_step(
 
     Singular values above RCOND times the largest give the Newton step, or
     the pseudoinverse step if H is rank deficient, flat along the dropped
-    singular vectors, and decrement(r) = r.H+r over the kept ones, so that
-    decrement(grad) = -grad.step. A non-finite H or step, or a
-    decrement(grad) outside (0, inf), gives (None, None, null): no step.
+    singular vectors, and decrement(r) = q.H+q over the kept ones for
+    q = 2^-e r, where 2^(e-1) <= max|grad| < 2^e, or e = 0 if max|grad| < 1,
+    so that decrement(grad) = -(2^-e grad).(2^-e step). A power of two
+    scales exactly where nothing under- or overflows, and it keeps the
+    decrement of a finite step in the float range where grad.step may
+    leave it; a gradient below 1 is read unscaled, since scaling it up
+    could overflow a decrement that grad.step keeps finite. A non-finite
+    H or step, or a decrement(grad) outside (0, inf), gives (None, None,
+    null): no step.
     """
     if not np.all(np.isfinite(hess)):
         return None, None, np.empty((0, len(grad)))
     u, s, vt = np.linalg.svd(hess)
     keep = s > RCOND * s[0]
     ut, sk, v = u[:, keep].T, s[keep], vt[keep].T
+    e = max(0, math.frexp(float(np.max(np.abs(grad))))[1])
 
     def decrement(r: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
+            r = np.ldexp(r, -e)
             return float(r @ (v @ ((ut @ r) / sk)))
 
     step = -v @ ((ut @ grad) / sk)
-    if 0 < -(grad @ step) < np.inf:
+    if np.all(np.isfinite(step)) and 0 < decrement(grad) < np.inf:
         return step, decrement, vt[~keep]
     return None, None, vt[~keep]
 
@@ -211,7 +219,7 @@ def newton_dual(
         if np.any(np.abs(null @ grad) > tol):
             _certify(null, alpha, grad, spectrum, targets, tol,
                      f"singular Hessian after {steps} iterations")
-        bound = -(grad @ step)
+        bound = decrement(grad)
         # one state at a time: the accepted one is dropped before the
         # first trial, and each rejected trial before the next
         state = dropped

@@ -3,9 +3,9 @@
 All operators are dense complex square matrices of modest dimension.
 The classical solve and the quantum entry points run their BLAS and
 LAPACK calls on one OpenBLAS thread at every size (single_blas_thread),
-so no result depends on the caller's thread count. Matrix functions go
-through the spectral decomposition, so exp/log of a Hermitian operator
-stay exactly Hermitian after re-symmetrization.
+so no result depends on the caller's thread count. A matrix function is
+V f(diag) V^dag of a spectral decomposition (_spectral_matrix), exactly
+Hermitian after re-symmetrization.
 """
 
 from __future__ import annotations
@@ -177,14 +177,12 @@ def _spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 @single_blas_thread()
-def matrix_exp(operator: HermitianOperator) -> HermitianOperator:
-    vals, vecs = np.linalg.eigh(operator.matrix)
-    return HermitianOperator(_spectral_matrix(vecs, np.exp(vals)))
-
-
-@single_blas_thread()
 def matrix_log(operator: HermitianOperator) -> HermitianOperator:
-    """ln A for positive definite A; an eigenvalue <= 0 is reported and no value is returned."""
+    """ln A for positive definite A; an eigenvalue <= 0 is reported and no value is returned.
+
+    No solver calls it (ln phi comes from quantum._log); it stays for
+    perfbench/tracing.py, which wraps it by name.
+    """
     vals, vecs = np.linalg.eigh(operator.matrix)
     if vals[0] <= 0.0:
         raise DomainError(f"eigenvalue {float(vals[0]):.6e} is not above 0")

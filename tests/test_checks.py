@@ -325,6 +325,19 @@ class TestRandomDensityMatrix:
             rng = np.random.default_rng(0)
             assert [random_density_matrix(rng, dim).is_full_rank() for _ in range(20)] == [full] * 20
 
+    def test_result_is_exactly_hermitian(self):
+        rho = random_density_matrix(np.random.default_rng(7), 5).matrix
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_is_the_normalized_exponential_of_its_draw(self):
+        h = random_hermitian(np.random.default_rng(3), 6).matrix
+        vals, vecs = np.linalg.eigh(h)
+        expected = (vecs * np.exp(vals)) @ vecs.conj().T
+        expected /= np.trace(expected).real
+        rho = random_density_matrix(np.random.default_rng(3), 6).matrix
+        np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-13)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+
 
 class TestRunAllChecks:
     def test_nan_deviation_fails_its_property(self, nan_on_third_zero_multiplier):

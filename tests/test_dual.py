@@ -1,5 +1,6 @@
 """The shared Newton iteration: its start, one SVD per step, the certificate, its arguments."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,12 @@ from qmaxent.quantum import (
 )
 
 
+def unit_scaled(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    # x / 2^e for 2^(e-1) <= max|grad| < 2^e, or x if max|grad| < 1, the
+    # scale decrement reads r at
+    return np.ldexp(x, -max(0, math.frexp(float(np.max(np.abs(grad))))[1]))
+
+
 class TestNewtonStep:
     def test_well_conditioned_hessian_gives_the_newton_step(self):
         rng = np.random.default_rng(3)
@@ -27,7 +34,7 @@ class TestNewtonStep:
         hess = b @ b.T + np.eye(5)
         grad = rng.normal(size=5)
         step, decrement, null = _newton_step(hess, grad)
-        assert decrement(grad) == -float(grad @ step)
+        assert decrement(grad) == -float(unit_scaled(grad, grad) @ unit_scaled(step, grad))
         expected = np.linalg.solve(hess, -grad)
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (0, 5)
@@ -39,7 +46,7 @@ class TestNewtonStep:
         hess = b @ b.T
         grad = rng.normal(size=5)
         step, decrement, null = _newton_step(hess, grad)
-        assert decrement(grad) == -float(grad @ step)
+        assert decrement(grad) == -float(unit_scaled(grad, grad) @ unit_scaled(step, grad))
         expected = -np.linalg.pinv(hess, rcond=RCOND) @ grad
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         assert null.shape == (3, 5)
@@ -71,22 +78,54 @@ class TestNewtonStep:
         assert step is None and decrement is None
         assert null.shape == (0, 1)
 
-    def test_decrement_that_overflows_gives_no_step(self):
-        # step = -1e10 / 1e-290 is finite, but decrement(grad) = 1e310 is
-        # not: a line-search bound of inf would accept any trial
-        with np.errstate(over="ignore", invalid="ignore"):
-            step, decrement, null = _newton_step(np.array([[1e-290]]), np.array([1e10]))
-        assert step is None and decrement is None
+    def test_finite_step_whose_unscaled_decrement_overflows_is_kept(self):
+        # step = -1e10 / 1e-290 is finite, but grad.step = -1e310 is not; the
+        # decrement of grad / 2^34 is 1e310 / 2^68, a finite bound
+        grad = np.array([1e10])
+        step, decrement, null = _newton_step(np.array([[1e-290]]), grad)
+        np.testing.assert_allclose(step, [-1e300], rtol=1e-15)
+        assert decrement(grad) == -float(unit_scaled(grad, grad) @ unit_scaled(step, grad))
+        assert 0 < decrement(grad) < np.inf
         assert null.shape == (0, 1)
 
-    def test_overflowing_decrement_stops_the_solve_without_a_warning(self):
-        # H ~ 1e10^2 w and grad ~ 5e9: decrement(grad) = 0.25 / w passes the
-        # float range while the step 0.5 / (1e10 w) does not
+    def test_overflowing_decrement_is_solved_without_a_warning(self):
+        # H ~ 1e10^2 w and grad ~ 5e9: -grad.step = 0.25 / w passes the float
+        # range while the step 0.5 / (1e10 w) and the scaled decrement do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_classical(
+                ClassicalDistribution([1.0, 1e-310]), [ClassicalConstraint([0.0, 1e10], 5e9)]
+            )
+        assert report.converged
+        assert report.iterations == 5
+        expected = -np.log(1e-310) / 1e10
+        np.testing.assert_allclose(report.multipliers, [expected], rtol=1e-9)
+
+    def test_finite_step_whose_decrement_passes_the_float_range_is_solved(self):
+        # prior (1, 1e-310), row (0, 1000), target 500: the step is 5e306 and
+        # grad.step about -2.5e309, past the float range; alpha = ln(1e310) /
+        # 1000 solves it
         report = solve_classical(
-            ClassicalDistribution([1.0, 1e-310]), [ClassicalConstraint([0.0, 1e10], 5e9)]
+            ClassicalDistribution([1.0, 1e-310]), [ClassicalConstraint([0.0, 1000.0], 500.0)]
         )
-        assert not report.converged
-        assert report.iterations == 0
+        assert report.converged
+        assert report.iterations == 4
+        np.testing.assert_allclose(report.multipliers, [-np.log(1e-310) / 1000], rtol=1e-9)
+
+    def test_gradient_below_one_is_read_unscaled(self):
+        # prior (1, 1e-310), row (0, 1), target 1e-5: grad is about -1e-5, H
+        # about 1e-310 and the step about 1e305. -grad.step = 1e300 is finite;
+        # the gradient scaled up by 2^16 would give a decrement of inf and no step
+        grad = np.array([-1e-5])
+        step, decrement, _ = _newton_step(np.array([[1e-310]]), grad)
+        assert decrement(grad) == -float(grad @ step)
+        report = solve_classical(
+            ClassicalDistribution([1.0, 1e-310]), [ClassicalConstraint([0.0, 1.0], 1e-5)]
+        )
+        assert report.converged
+        # the damped trial lands within tol of the target in one iteration
+        assert report.iterations == 1
+        np.testing.assert_allclose(report.multipliers, [np.log(1e-5 / (1 - 1e-5) / 1e-310)], rtol=1e-7)
 
     def test_decrement_errstate_silences_an_overflowing_divide(self):
         # the decrement's (ut @ r) / sk overflows for this tiny prior weight;

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmaxent.errors import DomainError, InfeasibleTargetError
-from qmaxent.linalg import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z, matrix_exp
+from qmaxent.linalg import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z
 from qmaxent.quantum import (
     DensityMatrix,
     QuantumConstraint,
@@ -26,6 +26,12 @@ from qmaxent.spin import (
 )
 
 ARTANH_04 = 0.42364893019360184
+
+
+def expm(matrix):
+    # the exponential of a Hermitian matrix, from its eigendecomposition
+    vals, vecs = np.linalg.eigh(matrix)
+    return (vecs * np.exp(vals)) @ vecs.conj().T
 
 
 def observable_matrix(p):
@@ -107,7 +113,7 @@ class TestLogPartition:
         for _ in range(30):
             p = random_problem(rng)
             alpha = float(rng.normal())
-            direct = np.trace(matrix_exp(exponent_operator(p, alpha)).matrix).real
+            direct = np.trace(expm(exponent_operator(p, alpha).matrix)).real
             assert _log_partition(p, alpha) == pytest.approx(math.log(direct), abs=1e-10)
 
 
@@ -162,9 +168,7 @@ class TestSpinPosterior:
     def test_symmetric_prior_matches_matrix_exponential(self):
         p = SpinProblem(a=0.5, b=0.5, c1=0.4, cx=0.3, cy=-0.8, cz=0.6, target=0.0)
         alpha = 0.9
-        raw = matrix_exp(
-            HermitianOperator(alpha * (0.3 * PAULI_X - 0.8 * PAULI_Y + 0.6 * PAULI_Z))
-        ).matrix
+        raw = expm(alpha * (0.3 * PAULI_X - 0.8 * PAULI_Y + 0.6 * PAULI_Z))
         np.testing.assert_allclose(
             spin_posterior(p, alpha).matrix, raw / np.trace(raw).real, atol=1e-12
         )

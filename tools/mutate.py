@@ -35,17 +35,31 @@ MUTANTS = [
         "decrement-errstate",
         "src/qmaxent/dual.py",
         "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
+        "            r = np.ldexp(r, -e)\n"
         "            return float(r @ (v @ ((ut @ r) / sk)))\n",
+        "        r = np.ldexp(r, -e)\n"
         "        return float(r @ (v @ ((ut @ r) / sk)))\n",
+    ),
+    (
+        "decrement-power-of-two-scale",
+        "src/qmaxent/dual.py",
+        "            r = np.ldexp(r, -e)\n",
+        "",
+    ),
+    (
+        "decrement-scale-down-only",
+        "src/qmaxent/dual.py",
+        "    e = max(0, math.frexp(float(np.max(np.abs(grad))))[1])\n",
+        "    e = math.frexp(float(np.max(np.abs(grad))))[1]\n",
     ),
     (
         "evaluate-errstate",
         "src/qmaxent/classical.py",
         "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
-        "            ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)\n"
+        "            ln_w = combine(alpha)\n"
         "            ln_w += ln_phi\n"
         "            return point(ln_w)\n",
-        "        ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)\n"
+        "        ln_w = combine(alpha)\n"
         "        ln_w += ln_phi\n"
         "        return point(ln_w)\n",
     ),
@@ -54,8 +68,8 @@ MUTANTS = [
     (
         "streamed-evaluate-errstate",
         "src/qmaxent/classical.py",
-        "ln_w = a.T @ alpha if stacked else _row_sum(a, alpha)",
-        "ln_w = a.T @ alpha if stacked else np.errstate(over=\"warn\")(_row_sum)(a, alpha)",
+        "(lambda c: _row_sum(a, c))",
+        "(lambda c: np.errstate(over=\"warn\")(_row_sum)(a, c))",
     ),
     (
         "stack-budget-le",
